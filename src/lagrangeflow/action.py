@@ -22,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import PathEnsemble, pu_tag, require_tag
+from .engine import (PathEnsemble, along_paths, drift_process, left_point_sum,
+                     pu_tag, require_tag)
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, mean_with_error
 
@@ -125,48 +126,38 @@ DICTIONARIES = {"default": default_dictionary,
 
 # ---------------------------------------------------------------------------
 
-def _drift_and_gradp(case: FlowCase, ensemble: PathEnsemble):
-    """Left-point drift and pressure-gradient values, shape (N, M, 3)."""
-    x = ensemble.positions
-    grid = ensemble.grid
-    times = grid.times
-    v = np.empty((x.shape[0], grid.steps, 3))
-    gp = np.empty_like(v)
-    for k in range(grid.steps):
-        t_rev = 1.0 - times[k]
-        v[:, k] = -case.velocity.eval(t_rev, x[:, k])
-        gp[:, k] = case.pressure.gradient(t_rev, x[:, k])
-    return v, gp
-
-
 def action_per_path(case: FlowCase, ensemble: PathEnsemble) -> Array:
     """Per-path action sum_k (|v_k|^2 / 2 - p(1 - t_k, X_k)) dt."""
     require_tag(ensemble, pu_tag(case))
-    x = ensemble.positions
-    grid = ensemble.grid
-    times = grid.times
-    acc = np.zeros(x.shape[0])
-    for k in range(grid.steps):
-        t_rev = 1.0 - times[k]
-        v_k = case.velocity.eval(t_rev, x[:, k])
-        acc += 0.5 * (v_k**2).sum(axis=-1) - case.pressure.eval(t_rev, x[:, k])
-    return acc * grid.dt
+    u, p = case.velocity.eval, case.pressure.eval
+
+    def term(t, x, dx):
+        return 0.5 * (u(t, x)**2).sum(axis=-1) - p(t, x)
+
+    return left_point_sum(term, ensemble) * ensemble.grid.dt
 
 
 def stochastic_action(case: FlowCase, ensemble: PathEnsemble) -> EstimateWithError:
     return mean_with_error(action_per_path(case, ensemble))
 
 
+def _derivative(v: Array, gp: Array, ensemble: PathEnsemble,
+                h: PerturbationField) -> EstimateWithError:
+    """Contract drift v (N, M+1, 3) and left-point grad p (N, M, 3) with h."""
+    hv, hdv = h.realize(ensemble)
+    m = ensemble.grid.steps
+    integrand = ((v[:, :m] * hdv[:, :m]).sum(axis=-1)
+                 - (gp * hv[:, :m]).sum(axis=-1))
+    per_path = integrand.sum(axis=1) * ensemble.grid.dt
+    return mean_with_error(per_path)
+
+
 def action_derivative_analytic(case: FlowCase, ensemble: PathEnsemble,
                                h: PerturbationField) -> EstimateWithError:
     """First-order action derivative E[sum (<v, hdot> - <grad p, h>) dt]."""
-    require_tag(ensemble, pu_tag(case))
-    v, gp = _drift_and_gradp(case, ensemble)
-    hv, hdv = h.realize(ensemble)
-    m = ensemble.grid.steps
-    integrand = (v * hdv[:, :m]).sum(axis=-1) - (gp * hv[:, :m]).sum(axis=-1)
-    per_path = integrand.sum(axis=1) * ensemble.grid.dt
-    return mean_with_error(per_path)
+    v = drift_process(case, ensemble).values
+    gp = along_paths(case.pressure.gradient, ensemble, ensemble.grid.steps)
+    return _derivative(v, gp, ensemble, h)
 
 
 def action_derivative_fd(case: FlowCase, ensemble: PathEnsemble,
@@ -180,16 +171,15 @@ def action_derivative_fd(case: FlowCase, ensemble: PathEnsemble,
     """
     if not _EPS_RANGE[0] <= eps <= _EPS_RANGE[1]:
         raise ValueError(f"eps must lie in {_EPS_RANGE}")
-    require_tag(ensemble, pu_tag(case))
     x = ensemble.positions
     grid = ensemble.grid
     times = grid.times
-    v, _ = _drift_and_gradp(case, ensemble)
+    v = drift_process(case, ensemble).values
     hv, hdv = h.realize(ensemble)
     m = grid.steps
 
     def shifted_action(sign):
-        vs = v + sign * eps * hdv[:, :m]
+        vs = v[:, :m] + sign * eps * hdv[:, :m]
         acc = np.zeros(x.shape[0])
         for k in range(m):
             t_rev = 1.0 - times[k]
@@ -213,9 +203,11 @@ def least_action_check(case: FlowCase, ensemble: PathEnsemble,
     entries = dictionary if dictionary is not None else default_dictionary()
     if not entries:
         raise ValueError("dictionary must be non-empty")
+    v = drift_process(case, ensemble).values
+    gp = along_paths(case.pressure.gradient, ensemble, ensemble.grid.steps)
     rows = []
     for h in entries:
-        est = action_derivative_analytic(case, ensemble, h)
+        est = _derivative(v, gp, ensemble, h)
         if est.std_error > 0:
             z = est.value / est.std_error
         else:

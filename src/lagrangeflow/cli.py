@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import catalog
 from .action import DICTIONARIES, least_action_check, stochastic_action
-from .engine import CapacityError, ProcessSample, simulate_pu, simulate_wiener
+from .engine import CapacityError, simulate_pu, simulate_wiener, worker_count
 from .girsanov import action_entropy_identity
 from .martingale import martingale_test
 from .noether import (UnknownGeneratorError, get_generator, el_process,
@@ -63,12 +63,14 @@ class ExperimentConfig:
     only: Optional[str] = None
 
     def validate(self):
-        if self.n_paths < 1:
-            raise ConfigError("N", "must be >= 1")
+        if self.n_paths < 2:
+            raise ConfigError("N", "must be >= 2")
         if self.steps < 2:
             raise ConfigError("M", "must be >= 2")
         if not isinstance(self.seed, int):
             raise ConfigError("seed", "must be an integer")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha", "must lie in (0, 1)")
         if not 1e-4 <= self.eps <= 1e-1:
@@ -136,6 +138,11 @@ def _resolve_config(args) -> ExperimentConfig:
         if value is not None:
             setattr(cfg, attr, value)
     cfg.validate()
+    try:
+        worker_count()
+    except ValueError:
+        raise ConfigError("LAGRANGEFLOW_THREADS",
+                          "must be a positive integer") from None
     return cfg
 
 
@@ -174,11 +181,8 @@ def _cmd_el_test(cfg):
     case = _require_case(cfg)
     ensemble = simulate_pu(case, cfg.n_paths, cfg.steps, cfg.seed)
     process = el_process(case, ensemble)
-    components = []
-    for i in range(3):
-        comp = ProcessSample(process.grid, process.values[:, :, i],
-                             f"{process.label}[{i + 1}]")
-        components.append(martingale_test(comp, ensemble, alpha=cfg.alpha).to_dict())
+    components = [martingale_test(process.component(i), ensemble,
+                                  alpha=cfg.alpha).to_dict() for i in range(3)]
     verdict = "pass" if all(c["verdict"] == "pass" for c in components) else "fail"
     return {"case": cfg.case, "components": components, "verdict": verdict,
             "max_abs_z": max(c["max_abs_z"] for c in components)}, 0

@@ -104,11 +104,19 @@ class ProcessSample:
     def is_vector(self) -> bool:
         return self.values.ndim == 3
 
+    def component(self, i: int) -> "ProcessSample":
+        """Scalar component i of a vector sample, labelled "<label>[i+1]"."""
+        return ProcessSample(self.grid, self.values[:, :, i],
+                             f"{self.label}[{i + 1}]")
+
 
 def worker_count() -> int:
+    """LAGRANGEFLOW_THREADS if set (a positive integer), else cores up to 8."""
     env = os.environ.get("LAGRANGEFLOW_THREADS")
     if env:
-        return max(1, int(env))
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError("LAGRANGEFLOW_THREADS must be a positive integer")
+        return int(env)
     return max(1, min(8, os.cpu_count() or 1))
 
 
@@ -142,6 +150,8 @@ def _simulate(drift, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsem
         raise ValueError("N must be >= 1")
     if steps < 2:
         raise ValueError("M must be >= 2")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     grid = TimeGrid(steps)
     dt = grid.dt
     times = grid.times
@@ -195,6 +205,36 @@ def require_same_grid(a, b) -> None:
         raise GridMismatchError(f"grids differ: {a.grid.steps} vs {b.grid.steps}")
 
 
+# ---------------------------------------------------------------------------
+# Every estimator reads fields at reversed time and left points, f(1 - t_k,
+# X_k); these two helpers are the only step-by-step walks over an ensemble.
+# left_point_sum keeps O(N) memory, and both run k in increasing order.
+
+def along_paths(fn, ensemble: PathEnsemble, steps: int) -> Array:
+    """fn(1 - t_k, X_k) for k = 0..steps-1, stacked on axis 1: (N, steps[, d])."""
+    times = ensemble.grid.times
+    x = ensemble.positions
+    first = fn(1.0 - times[0], x[:, 0])
+    out = np.empty((first.shape[0], steps) + first.shape[1:])
+    out[:, 0] = first
+    for k in range(1, steps):
+        out[:, k] = fn(1.0 - times[k], x[:, k])
+    return out
+
+
+def left_point_sum(term, ensemble: PathEnsemble) -> Array:
+    """Per-path sum over k = 0..M-1 of term(1 - t_k, X_k, X_{k+1} - X_k).
+
+    Accumulates from zero in k order; the result has the shape of one term.
+    """
+    times = ensemble.grid.times
+    x = ensemble.positions
+    total = 0.0
+    for k in range(ensemble.grid.steps):
+        total += term(1.0 - times[k], x[:, k], x[:, k + 1] - x[:, k])
+    return total
+
+
 def drift_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
     """The realized drift v[n, k] = -u(1 - t_k, X[n, k]) along each path.
 
@@ -202,11 +242,8 @@ def drift_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
     Lagrangian, since dL/dv = v.
     """
     require_tag(ensemble, pu_tag(case))
-    times = ensemble.grid.times
-    x = ensemble.positions
-    values = np.empty_like(x)
-    for k in range(ensemble.grid.steps + 1):
-        values[:, k] = -case.velocity.eval(1.0 - times[k], x[:, k])
+    values = along_paths(case.velocity.eval, ensemble, ensemble.grid.steps + 1)
+    np.negative(values, out=values)
     return ProcessSample(ensemble.grid, values, f"drift({case.name})")
 
 

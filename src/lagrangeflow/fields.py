@@ -74,7 +74,6 @@ class FlowCase:
     is_exact_solution: bool
     symmetries: frozenset = field(default_factory=frozenset)
     residual_tol: float = 1e-8
-    dimension: int = 3
 
 
 def rotated_case(case: FlowCase, rot: Array, name: str,

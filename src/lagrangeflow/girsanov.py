@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (PathEnsemble, WIENER_TAG, pu_tag, require_same_grid,
-                     require_tag)
+from .engine import (PathEnsemble, WIENER_TAG, left_point_sum, pu_tag,
+                     require_same_grid, require_tag)
 from .fields import Array, FlowCase
 
 
@@ -55,28 +55,21 @@ def log_density_pu(case: FlowCase, ensemble: PathEnsemble) -> Array:
     Works on any ensemble: the formula only reads positions.  Returns an
     array of shape (N,).
     """
-    x = ensemble.positions
-    grid = ensemble.grid
-    dt = grid.dt
-    times = grid.times
-    ito = np.zeros(x.shape[0])
-    energy = np.zeros(x.shape[0])
-    for k in range(grid.steps):
-        u_k = case.velocity.eval(1.0 - times[k], x[:, k])
-        ito += (u_k * (x[:, k + 1] - x[:, k])).sum(axis=-1)
-        energy += (u_k**2).sum(axis=-1) * dt
+    u = case.velocity.eval
+    dt = ensemble.grid.dt
+
+    def term(t, x, dx):
+        u_k = u(t, x)
+        return np.stack([(u_k * dx).sum(axis=-1), (u_k**2).sum(axis=-1) * dt])
+
+    ito, energy = left_point_sum(term, ensemble)
     return -ito - 0.5 * energy
 
 
 def pressure_integral(case: FlowCase, ensemble: PathEnsemble) -> Array:
     """Per-path left-point sum of p(1 - t_k, X_k) dt over k = 0..M-1."""
-    x = ensemble.positions
-    grid = ensemble.grid
-    times = grid.times
-    acc = np.zeros(x.shape[0])
-    for k in range(grid.steps):
-        acc += case.pressure.eval(1.0 - times[k], x[:, k])
-    return acc * grid.dt
+    p = case.pressure.eval
+    return left_point_sum(lambda t, x, dx: p(t, x), ensemble) * ensemble.grid.dt
 
 
 def estimate_Zp(case: FlowCase, wiener_ensemble: PathEnsemble) -> EstimateWithError:

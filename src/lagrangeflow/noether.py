@@ -13,8 +13,8 @@ one-parameter symmetry with generator xi contributes the invariant process
 where the bracket is the pathwise quadratic covariation of the sampled
 processes and theta contracts the dispersion sensitivity of the Lagrangian
 against kappa = alpha grad(xi)^T + grad(xi) alpha.  The Lagrangian here has
-no dispersion dependence, so theta vanishes identically; kappa stays
-available for inspection.
+no dispersion dependence, so theta vanishes identically and is omitted;
+kappa stays available for inspection.
 
 Rotation about e3 admits a closed form: the kinetic momentum
 l = X^1 v^2 - X^2 v^1 compensated by the running integral of the third curl
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import PathEnsemble, ProcessSample, drift_process, pu_tag, require_tag
+from .engine import PathEnsemble, ProcessSample, along_paths, drift_process
 from .fields import Array, FlowCase
 from .catalog import probe_grid
 
@@ -90,28 +90,18 @@ def kappa(gen: GeneratorField, t: float, x: Array) -> Array:
     return np.swapaxes(g, -1, -2) + g
 
 
-def lagrangian_dispersion_sensitivity(t: float, x: Array, v: Array) -> Array:
-    """dL/dalpha for the kinetic-minus-pressure Lagrangian: identically zero."""
-    return np.zeros(np.asarray(x).shape[:-1] + (3, 3))
-
-
 # ---------------------------------------------------------------------------
 # invariant processes
 
 def el_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
     """Euler-Lagrange candidate: drift plus accumulated pressure gradient."""
-    require_tag(ensemble, pu_tag(case))
     grid = ensemble.grid
-    times = grid.times
-    x = ensemble.positions
     v = drift_process(case, ensemble).values
-    out = np.empty_like(v)
-    out[:, 0] = v[:, 0]
-    acc = np.zeros((x.shape[0], 3))
-    for k in range(grid.steps):
-        acc += case.pressure.gradient(1.0 - times[k], x[:, k]) * grid.dt
-        out[:, k + 1] = v[:, k + 1] + acc
-    return ProcessSample(grid, out, f"el({case.name})")
+    gp = along_paths(case.pressure.gradient, ensemble, grid.steps)
+    gp *= grid.dt
+    np.cumsum(gp, axis=1, out=gp)
+    v[:, 1:] += gp
+    return ProcessSample(grid, v, f"el({case.name})")
 
 
 def noether_process_general(case: FlowCase, ensemble: PathEnsemble,
@@ -123,7 +113,6 @@ def noether_process_general(case: FlowCase, ensemble: PathEnsemble,
     usable for any generator; the closed-form rotation process is its
     analytic oracle.
     """
-    require_tag(ensemble, pu_tag(case))
     grid = ensemble.grid
     times = grid.times
     x = ensemble.positions
@@ -137,18 +126,7 @@ def noether_process_general(case: FlowCase, ensemble: PathEnsemble,
     prods = (np.diff(xi_vals, axis=1) * np.diff(v, axis=1)).sum(axis=-1)
     np.cumsum(prods, axis=1, out=bracket[:, 1:])
 
-    values = pair - bracket
-    # theta_s = sum_ij kappa^ij dL/dalpha_ij: the sensitivity vanishes for
-    # this Lagrangian, so the compensator is skipped rather than contracted.
-    probe = lagrangian_dispersion_sensitivity(0.0, x[:1, 0], v[:1, 0])
-    if np.any(probe):
-        theta = np.zeros_like(pair[:, :-1])
-        for k in range(grid.steps):
-            kap = kappa(gen, grid.times[k], x[:, k])
-            sens = lagrangian_dispersion_sensitivity(grid.times[k], x[:, k], v[:, k])
-            theta[:, k] = np.einsum("...ij,...ij->...", kap, sens)
-        values[:, 1:] += np.cumsum(theta * grid.dt, axis=1)
-    return ProcessSample(grid, values, f"noether({gen.name},{case.name})")
+    return ProcessSample(grid, pair - bracket, f"noether({gen.name},{case.name})")
 
 
 def noether_rotation_closed_form(case: FlowCase, ensemble: PathEnsemble,
@@ -159,17 +137,16 @@ def noether_rotation_closed_form(case: FlowCase, ensemble: PathEnsemble,
     Dropping the compensator (the ablation) leaves the raw kinetic momentum,
     which is not a martingale unless the vorticity vanishes.
     """
-    require_tag(ensemble, pu_tag(case))
     grid = ensemble.grid
-    times = grid.times
     x = ensemble.positions
     v = drift_process(case, ensemble).values
     values = x[:, :, 0] * v[:, :, 1] - x[:, :, 1] * v[:, :, 0]
     if include_compensator:
-        comp = np.empty((x.shape[0], grid.steps))
-        for k in range(grid.steps):
-            comp[:, k] = case.velocity.curl(1.0 - times[k], x[:, k])[..., 2]
-        values[:, 1:] += np.cumsum(comp * grid.dt, axis=1)
+        curl = case.velocity.curl
+        comp = along_paths(lambda t, y: curl(t, y)[..., 2], ensemble, grid.steps)
+        comp *= grid.dt
+        np.cumsum(comp, axis=1, out=comp)
+        values[:, 1:] += comp
     label = "kinetic_momentum" if not include_compensator else "noether_rotation"
     return ProcessSample(grid, values, f"{label}({case.name})")
 

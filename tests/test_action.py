@@ -133,6 +133,19 @@ def test_least_action_verdicts_small_scale(tg_ensemble, frozen_ensemble):
     assert any("gated" in e["h"] for e in triggering)
 
 
+def test_least_action_entries_equal_analytic_derivative(tg_ensemble,
+                                                        frozen_ensemble):
+    for name, ens in (("taylor_green", tg_ensemble),
+                      ("frozen_taylor_green", frozen_ensemble)):
+        case = get_case(name)
+        report = least_action_check(case, ens)
+        for h, row in zip(default_dictionary(), report["entries"], strict=True):
+            est = action_derivative_analytic(case, ens, h)
+            assert row["h"] == h.label
+            assert row["estimate"] == est.value
+            assert row["std_error"] == est.std_error
+
+
 def test_least_action_zero_flow(zero_ensemble):
     report = least_action_check(get_case("zero_flow"), zero_ensemble)
     assert report["verdict"] == "critical"

@@ -119,15 +119,30 @@ def test_unknown_case_and_generator_exit_2():
     assert code == 2 and "unknown generator" in err
 
 
-def test_invalid_config_exit_2():
+def test_invalid_config_exit_2(monkeypatch):
     code, _, err = run_cli(["el-test", "--case", "zero_flow", "--alpha", "2.0",
                             "--N", "10", "--M", "4", "--seed", "0"])
     assert code == 2 and "alpha" in err
     code, _, err = run_cli(["el-test", "--case", "zero_flow", "--N", "0",
                             "--M", "4", "--seed", "0"])
     assert code == 2 and "'N'" in err
+    # one path has no standard error, so no verdict can be supported
+    code, _, err = run_cli(["el-test", "--case", "zero_flow", "--N", "1",
+                            "--M", "4", "--seed", "0"])
+    assert code == 2 and "'N'" in err
+    code, _, err = run_cli(["least-action", "--case", "zero_flow", "--N", "1",
+                            "--M", "4", "--seed", "0"])
+    assert code == 2 and "'N'" in err
+    code, _, err = run_cli(["el-test", "--case", "zero_flow", "--N", "10",
+                            "--M", "4", "--seed", "-3"])
+    assert code == 2 and "'seed'" in err
     code, _, err = run_cli(["el-test"] + SMALL)
     assert code == 2 and "case" in err
+    monkeypatch.setenv("LAGRANGEFLOW_THREADS", "abc")
+    code, _, err = run_cli(["el-test", "--case", "zero_flow", "--N", "10",
+                            "--M", "4", "--seed", "0"])
+    assert code == 2 and "LAGRANGEFLOW_THREADS" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_capacity_exit_4():

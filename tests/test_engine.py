@@ -116,6 +116,11 @@ def test_drift_process_values(tg_ensemble, zero_ensemble):
     # at t=0 every path sits at the origin where the field vanishes
     assert np.all(v.values[:, 0, :] == 0.0)
     assert np.linalg.norm(v.values, axis=-1).max() <= case.velocity.bound + 1e-12
+    # step k reads the field at the reversed time 1 - t_k
+    times = tg_ensemble.grid.times
+    for k in range(tg_ensemble.grid.steps + 1):
+        expected = -case.velocity.eval(1.0 - times[k], tg_ensemble.positions[:, k])
+        assert np.array_equal(v.values[:, k], expected)
     zero = get_case("zero_flow")
     assert np.all(drift_process(zero, zero_ensemble).values == 0.0)
 
@@ -140,6 +145,8 @@ def test_simulation_preconditions():
         simulate_pu(case, 0, 10, 0)
     with pytest.raises(ValueError):
         simulate_pu(case, 10, 1, 0)
+    with pytest.raises(ValueError):
+        simulate_pu(case, 10, 10, -3)
 
 
 def test_ensemble_dump_round_trip(tmp_path, tg_ensemble):
