@@ -24,7 +24,8 @@ from .girsanov import (EstimateWithError, action_entropy_identity,
                        estimate_Zp, log_density_pu, mean_with_error,
                        relative_entropy)
 from .action import (PerturbationField, action_derivative_analytic,
-                     action_derivative_fd, bump_perturbation,
+                     action_derivative_fd, action_derivatives_fd,
+                     bump_perturbation,
                      default_dictionary, gated_tanh_perturbation,
                      least_action_check, sine_perturbation,
                      stochastic_action)

@@ -107,23 +107,28 @@ _CONFIG_KEYS = {
 def load_config_file(path) -> dict:
     """Key-value file mirroring the experiment config: `key = value` lines,
     '#' comments; flags given on the command line take precedence."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = err.strerror if isinstance(err, OSError) else "not a text file"
+        raise ConfigError("config", f"cannot read {path!r}: {reason}") from None
     overrides = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            sep = "=" if "=" in line else (":" if ":" in line else None)
-            if sep is None:
-                raise ConfigError("config", f"cannot parse line {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split(sep, 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(key, "unknown config key")
-            attr, coerce = _CONFIG_KEYS[key]
-            try:
-                overrides[attr] = coerce(value)
-            except ValueError:
-                raise ConfigError(key, f"cannot parse value {value!r}") from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        sep = "=" if "=" in line else (":" if ":" in line else None)
+        if sep is None:
+            raise ConfigError("config", f"cannot parse line {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split(sep, 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(key, "unknown config key")
+        attr, coerce = _CONFIG_KEYS[key]
+        try:
+            overrides[attr] = coerce(value)
+        except ValueError:
+            raise ConfigError(key, f"cannot parse value {value!r}") from None
     return overrides
 
 

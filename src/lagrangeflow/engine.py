@@ -7,7 +7,8 @@ Wiener measure the drift is zero.  Gaussian increments are drawn from a
 counter-based Philox stream keyed by (seed, path block), with a fixed block
 size, so every increment is a pure function of (seed, n, k): regenerating
 with the same arguments is bit-exact and independent of how many workers run
-the blocks.
+the blocks.  Ensembles therefore store only their positions, time-major, and
+redraw the increments whenever they are asked for.
 
 Novikov's condition holds automatically for the bounded catalog fields, so
 the change-of-measure density is a true martingale; nothing is checked at
@@ -69,22 +70,33 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """N discretized paths plus the driving Gaussian increments.
+    """N discretized paths; the driving Gaussian increments are redrawn on demand.
 
-    positions has shape (N, M+1, 3) with positions[:, 0] = 0; noise has shape
-    (N, M, 3) and holds the raw increments, which downstream density and
-    covariation estimators need.  Arrays are frozen after construction.
+    positions has shape (N, M+1, 3) with positions[:, 0] = 0.  It is the
+    transposed view of a time-major (M+1, N, 3) buffer, so the time slice
+    positions[:, k] that every estimator reads is contiguous.  noise has shape
+    (N, M, 3) and holds the raw increments; it is not stored but regenerated
+    from the Philox stream at each access, bit for bit the increments the
+    simulation used.  Both arrays are read-only.
     """
 
     grid: TimeGrid
     positions: Array
-    noise: Array
     measure_tag: str
     seed: int
 
     @property
     def n_paths(self) -> int:
         return self.positions.shape[0]
+
+    @property
+    def noise(self) -> Array:
+        steps = self.grid.steps
+        out = _alloc((self.n_paths, steps, 3))
+        _run_blocks(self.n_paths, lambda index, lo, hi: _increments(
+            self.seed, index, steps, out[lo:hi]))
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -127,9 +139,14 @@ def _alloc(shape) -> Array:
         raise CapacityError(int(np.prod(shape)) * 8) from None
 
 
+def _blocks(n_paths: int) -> list:
+    """(block index, first path, end path) of every fixed-size path block."""
+    return [(i, lo, min(lo + BLOCK_PATHS, n_paths))
+            for i, lo in enumerate(range(0, n_paths, BLOCK_PATHS))]
+
+
 def _run_blocks(n_paths: int, fn) -> None:
-    blocks = [(i, lo, min(lo + BLOCK_PATHS, n_paths))
-              for i, lo in enumerate(range(0, n_paths, BLOCK_PATHS))]
+    blocks = _blocks(n_paths)
     workers = worker_count()
     if workers == 1 or len(blocks) == 1:
         for b in blocks:
@@ -139,10 +156,18 @@ def _run_blocks(n_paths: int, fn) -> None:
             list(pool.map(lambda b: fn(*b), blocks))
 
 
-def _freeze(ensemble: PathEnsemble) -> PathEnsemble:
-    ensemble.positions.flags.writeable = False
-    ensemble.noise.flags.writeable = False
-    return ensemble
+def _increments(seed: int, index: int, steps: int, out: Array) -> Array:
+    """Fill out (rows, steps, 3) with block ``index``'s scaled Gaussian increments."""
+    gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, index]))
+    gen.standard_normal(out=out)
+    out *= np.sqrt(1.0 / steps)
+    return out
+
+
+def _ensemble(grid: TimeGrid, buffer: Array, tag: str, seed: int) -> PathEnsemble:
+    """Freeze a time-major (M+1, N, 3) buffer and wrap its (N, M+1, 3) view."""
+    buffer.flags.writeable = False
+    return PathEnsemble(grid, buffer.transpose(1, 0, 2), tag, seed)
 
 
 def _simulate(drift, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsemble:
@@ -155,24 +180,19 @@ def _simulate(drift, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsem
     grid = TimeGrid(steps)
     dt = grid.dt
     times = grid.times
-    sqrt_dt = np.sqrt(dt)
-    positions = _alloc((n_paths, steps + 1, 3))
-    noise = _alloc((n_paths, steps, 3))
+    buffer = _alloc((steps + 1, n_paths, 3))
 
     def run_block(index, lo, hi):
-        gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, index]))
-        block = gen.standard_normal((hi - lo, steps, 3))
-        block *= sqrt_dt
-        noise[lo:hi] = block
-        x = positions[lo:hi]
+        block = _increments(seed, index, steps, np.empty((hi - lo, steps, 3)))
+        x = buffer[:, lo:hi]
         for k in range(steps):
             step = block[:, k]
             if drift is not None:
-                step = drift(times[k], x[:, k]) * dt + step
-            x[:, k + 1] = x[:, k] + step
+                step = drift(times[k], x[k]) * dt + step
+            x[k + 1] = x[k] + step
 
     _run_blocks(n_paths, run_block)
-    return _freeze(PathEnsemble(grid, positions, noise, tag, seed))
+    return _ensemble(grid, buffer, tag, seed)
 
 
 def pu_tag(case: FlowCase) -> str:
@@ -250,61 +270,100 @@ def drift_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
 # ---------------------------------------------------------------------------
 # flat binary dump
 
+def _write_header(fh, n: int, steps: int, label: str, seed: int) -> None:
+    tag = label.encode("utf-8")
+    fh.write(_MAGIC)
+    fh.write(struct.pack("<QQQQ", n, steps, len(tag), seed & _MASK64))
+    fh.write(tag)
+
+
+def _read_header(fh, kind: str):
+    """Check the magic and return (N, M, tag, seed, payload byte count)."""
+    size = os.fstat(fh.fileno()).st_size
+    if fh.read(4) != _MAGIC:
+        raise ValueError(f"not a lagrangeflow {kind} file")
+    head = fh.read(32)
+    if len(head) < 32:
+        raise ValueError(f"{kind} file ends inside its header")
+    n, steps, tag_len, seed = struct.unpack("<QQQQ", head)
+    if tag_len > size - 36:
+        raise ValueError(f"{kind} file ends inside its header")
+    tag = fh.read(tag_len).decode("utf-8")
+    return n, steps, tag, seed, size - 36 - tag_len
+
+
+def _noise_bytes(seed: int, n_paths: int, steps: int):
+    """(first path, end path, little-endian increments) of each path block, in order."""
+    for index, lo, hi in _blocks(n_paths):
+        block = _increments(seed, index, steps, np.empty((hi - lo, steps, 3)))
+        yield lo, hi, block.astype("<f8", copy=False).tobytes()
+
+
 def dump_ensemble(ensemble: PathEnsemble, path) -> None:
     """Write the flat binary layout: magic, N, M, tag, seed, then float64 data.
 
     Header fields are little-endian 64-bit; the measure tag is stored as a
     64-bit byte length followed by its UTF-8 bytes.  Positions precede noise,
-    both row-major.
+    both path-major (N, M+1, 3) and (N, M, 3), written one path block at a
+    time.
     """
-    tag = ensemble.measure_tag.encode("utf-8")
+    n, steps = ensemble.n_paths, ensemble.grid.steps
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQQQ", ensemble.n_paths, ensemble.grid.steps,
-                             len(tag), ensemble.seed & _MASK64))
-        fh.write(tag)
-        fh.write(np.ascontiguousarray(ensemble.positions, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ensemble.noise, dtype="<f8").tobytes())
+        _write_header(fh, n, steps, ensemble.measure_tag, ensemble.seed)
+        for _, lo, hi in _blocks(n):
+            fh.write(np.ascontiguousarray(ensemble.positions[lo:hi],
+                                          dtype="<f8").tobytes())
+        for _, _, data in _noise_bytes(ensemble.seed, n, steps):
+            fh.write(data)
 
 
 def load_ensemble(path) -> PathEnsemble:
+    """Read a dump into time-major storage.
+
+    The payload must have exactly the length the header implies, and the
+    stored noise must equal the increments regenerated from the header's seed.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a lagrangeflow ensemble file")
-        n, m, tag_len, seed = struct.unpack("<QQQQ", fh.read(32))
-        tag = fh.read(tag_len).decode("utf-8")
-        positions = np.frombuffer(fh.read(n * (m + 1) * 3 * 8), dtype="<f8")
-        noise = np.frombuffer(fh.read(n * m * 3 * 8), dtype="<f8")
-    positions = positions.reshape(n, m + 1, 3).copy()
-    noise = noise.reshape(n, m, 3).copy()
-    return _freeze(PathEnsemble(TimeGrid(m), positions, noise, tag, seed))
+        n, steps, tag, seed, payload = _read_header(fh, "ensemble")
+        grid = TimeGrid(steps)
+        expected = n * (2 * steps + 1) * 3 * 8
+        if payload != expected:
+            raise ValueError(f"ensemble file payload is {payload} bytes; "
+                             f"its header implies {expected}")
+        buffer = _alloc((steps + 1, n, 3))
+        for _, lo, hi in _blocks(n):
+            rows = np.frombuffer(fh.read((hi - lo) * (steps + 1) * 3 * 8), dtype="<f8")
+            buffer[:, lo:hi] = rows.reshape(hi - lo, steps + 1, 3).transpose(1, 0, 2)
+        for lo, hi, data in _noise_bytes(seed, n, steps):
+            if fh.read(len(data)) != data:
+                raise ValueError(f"stored noise of paths {lo}..{hi - 1} differs "
+                                 f"from the increments regenerated from seed {seed}")
+    return _ensemble(grid, buffer, tag, seed)
 
 
 def dump_process(sample: ProcessSample, path, seed: int = 0) -> None:
     """Write a process sample in the same flat layout (values after header).
 
-    The component count is recoverable from the file size, so the header
-    stays identical to the ensemble one.
+    The width (scalar, or three components) follows from the payload size,
+    so the header stays identical to the ensemble one.
     """
-    tag = sample.label.encode("utf-8")
-    n = sample.values.shape[0]
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQQQ", n, sample.grid.steps, len(tag), seed & _MASK64))
-        fh.write(tag)
+        _write_header(fh, sample.values.shape[0], sample.grid.steps,
+                      sample.label, seed)
         fh.write(np.ascontiguousarray(sample.values, dtype="<f8").tobytes())
 
 
 def load_process(path) -> ProcessSample:
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a lagrangeflow process file")
-        n, m, tag_len, _seed = struct.unpack("<QQQQ", fh.read(32))
-        label = fh.read(tag_len).decode("utf-8")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    width = data.size // (n * (m + 1))
-    shape = (n, m + 1) if width == 1 else (n, m + 1, width)
-    return ProcessSample(TimeGrid(m), data.reshape(shape).copy(), label)
+        n, steps, label, _seed, payload = _read_header(fh, "process")
+        grid = TimeGrid(steps)
+        scalar = n * (steps + 1) * 8
+        if payload not in (scalar, 3 * scalar):
+            raise ValueError(f"process file payload is {payload} bytes; its header "
+                             f"implies {scalar} (scalar) or {3 * scalar} (vector)")
+        data = np.frombuffer(fh.read(payload), dtype="<f8")
+    shape = (n, steps + 1) if payload == scalar else (n, steps + 1, 3)
+    return ProcessSample(grid, data.reshape(shape).copy(), label)
 
 
 def process_to_csv(sample: ProcessSample, path, ensemble_mean: bool = True) -> None:

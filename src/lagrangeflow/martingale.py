@@ -110,9 +110,13 @@ def martingale_test(sample: ProcessSample, ensemble: PathEnsemble,
     require_same_grid(sample, ensemble)
     values = np.asarray(sample.values, dtype=float)
     n, m = values.shape[0], sample.grid.steps
+    if n < 2:
+        raise ValueError("martingale_test needs N >= 2 paths for a standard error")
     if dictionary is None:
         dictionary = default_test_dictionary(ensemble, sample)
-    d_p = np.diff(values, axis=1)
+    # path-major increments, so every y below is too and each cell mean sums
+    # its N products in path order, whatever layout the sample has
+    d_p = np.subtract(values[:, 1:], values[:, :-1], order="C")
 
     labels = tuple(lbl for lbl, _ in dictionary)
     stat = np.empty((len(dictionary), m))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .action import action_derivative_fd, default_dictionary, least_action_check
+from .action import action_derivatives_fd, default_dictionary, least_action_check
 from .engine import ProcessSample, drift_process, simulate_pu, simulate_wiener
 from .girsanov import action_entropy_identity, log_density_pu, mean_with_error
 from .martingale import martingale_test, richardson_bias_probe
@@ -135,8 +135,8 @@ def criterion_3_least_action(scale: SuiteScale, cache: _EnsembleCache) -> dict:
             verdict_ok = verdict_ok and report["max_abs_z"] >= 5.0
         agreement = []
         agree_ok = True
-        for h, a in zip(dictionary, report["entries"]):
-            f = action_derivative_fd(case, ens, h, eps=1e-2)
+        fd = action_derivatives_fd(case, ens, dictionary, eps=1e-2)
+        for h, a, f in zip(dictionary, report["entries"], fd):
             tol = 3.0 * float(np.hypot(a["std_error"], f.std_error)) + 1e-4
             good = abs(a["estimate"] - f.value) <= tol
             agreement.append({"h": h.label, "analytic": a["estimate"],

@@ -3,7 +3,8 @@ steps, seed 7, alpha = 0.01.  One test per criterion, each printing a
 PASS/FAIL line; ensembles are shared across criteria through a session cache.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.
+lines and timings.  Every test here is marked slow, so `pytest -m "not slow"`
+runs the module tests alone.
 """
 
 import json
@@ -11,6 +12,8 @@ import json
 import pytest
 
 from lagrangeflow.suite import CRITERIA, SuiteScale, _EnsembleCache
+
+pytestmark = pytest.mark.slow
 
 SCALE = SuiteScale(n_paths=50000, steps=200, seed=7, alpha=0.01)
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
 from lagrangeflow import (FlowCase, PressureField, action_derivative_analytic,
-                          action_derivative_fd,
-                          case_names, default_dictionary,
+                          action_derivative_fd, action_derivatives_fd,
+                          case_names, default_dictionary, drift_process,
                           gated_tanh_perturbation, get_case,
-                          least_action_check, simulate_pu, sine_perturbation,
-                          stochastic_action)
+                          least_action_check, mean_with_error, simulate_pu,
+                          sine_perturbation, stochastic_action)
 
 from conftest import SEED
 
@@ -75,6 +77,67 @@ def test_fd_matches_analytic_everywhere(name):
         f = action_derivative_fd(case, ens, entry, eps=1e-2)
         tol = 3.0 * np.hypot(a.std_error, f.std_error) + 1e-4
         assert abs(a.value - f.value) <= tol, entry.label
+
+
+def _per_probe_fd(case, ensemble, h, eps):
+    # the per-probe oracle: full drift array, then one shifted action per sign
+    x = ensemble.positions
+    grid = ensemble.grid
+    times = grid.times
+    v = drift_process(case, ensemble).values
+    hv, hdv = h.realize(ensemble)
+    m = grid.steps
+
+    def shifted_action(sign):
+        vs = v[:, :m] + sign * eps * hdv[:, :m]
+        acc = np.zeros(x.shape[0])
+        for k in range(m):
+            t_rev = 1.0 - times[k]
+            xs = x[:, k] + sign * eps * hv[:, k]
+            acc += (0.5 * (vs[:, k] ** 2).sum(axis=-1)
+                    - case.pressure.eval(t_rev, xs))
+        return acc * grid.dt
+
+    per_path = (shifted_action(+1.0) - shifted_action(-1.0)) / (2.0 * eps)
+    return mean_with_error(per_path)
+
+
+@pytest.mark.parametrize("name, fixture", [("taylor_green", "tg_ensemble"),
+                                           ("lamb_oseen", "lo_ensemble")])
+def test_fd_over_dictionary_equals_per_probe_loop(name, fixture, request):
+    case = get_case(name)
+    ens = request.getfixturevalue(fixture)
+    dictionary = default_dictionary()
+    together = action_derivatives_fd(case, ens, dictionary, eps=1e-2)
+    assert len(together) == len(dictionary) == 9
+    for h, est in zip(dictionary, together):
+        assert est == _per_probe_fd(case, ens, h, 1e-2), h.label
+        assert action_derivative_fd(case, ens, h, eps=1e-2) == est, h.label
+
+
+def _counting_case(case, slices):
+    def counted(kind, fn):
+        def wrapped(t, x):
+            slices[kind] += 1
+            return fn(t, x)
+        return wrapped
+
+    return dataclasses.replace(
+        case,
+        velocity=dataclasses.replace(case.velocity,
+                                     eval=counted("u", case.velocity.eval)),
+        pressure=dataclasses.replace(case.pressure,
+                                     eval=counted("p", case.pressure.eval)))
+
+
+def test_fd_evaluates_drift_once_and_pressure_per_shift(tg_ensemble):
+    slices = {"u": 0, "p": 0}
+    case = _counting_case(get_case("taylor_green"), slices)
+    dictionary = default_dictionary()
+    action_derivatives_fd(case, tg_ensemble, dictionary)
+    m = tg_ensemble.grid.steps
+    assert slices["u"] <= m + 1
+    assert slices["p"] == 2 * m * len(dictionary)
 
 
 def test_fd_exact_for_locally_quadratic_pressure(zero_ensemble):
@@ -152,3 +215,9 @@ def test_least_action_zero_flow(zero_ensemble):
     assert report["max_abs_z"] == 0.0
     with pytest.raises(ValueError):
         least_action_check(get_case("zero_flow"), zero_ensemble, dictionary=[])
+
+
+def test_least_action_needs_two_paths():
+    case = get_case("zero_flow")
+    with pytest.raises(ValueError, match="N >= 2"):
+        least_action_check(case, simulate_pu(case, 1, 4, 1))

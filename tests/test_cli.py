@@ -138,6 +138,11 @@ def test_invalid_config_exit_2(monkeypatch):
     assert code == 2 and "'seed'" in err
     code, _, err = run_cli(["el-test"] + SMALL)
     assert code == 2 and "case" in err
+    for missing in ("/nonexistent/exp.cfg", "."):     # absent, a directory
+        code, _, err = run_cli(["el-test", "--case", "zero_flow", "--N", "10",
+                                "--M", "4", "--seed", "0", "--config", missing])
+        assert code == 2 and "'config'" in err and missing in err
+        assert len(err.splitlines()) == 1
     monkeypatch.setenv("LAGRANGEFLOW_THREADS", "abc")
     code, _, err = run_cli(["el-test", "--case", "zero_flow", "--N", "10",
                             "--M", "4", "--seed", "0"])

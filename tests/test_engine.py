@@ -161,6 +161,78 @@ def test_ensemble_dump_round_trip(tmp_path, tg_ensemble):
         assert fh.read(4) == b"LGF1"
 
 
+def test_dump_load_dump_keeps_file_bytes(tmp_path):
+    # three path blocks, the last one partial
+    ens = simulate_pu(get_case("lamb_oseen"), 2 * 8192 + 5, 3, 17)
+    first, second = tmp_path / "a.lgf", tmp_path / "b.lgf"
+    dump_ensemble(ens, first)
+    dump_ensemble(load_ensemble(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_time_slices_are_contiguous(tmp_path, tg_ensemble, wiener_ensemble):
+    path = tmp_path / "tg.lgf"
+    dump_ensemble(tg_ensemble, path)
+    for ens in (tg_ensemble, wiener_ensemble, load_ensemble(path)):
+        assert ens.positions.shape == (N_SMALL, M_SMALL + 1, 3)
+        for k in (0, M_SMALL // 2, M_SMALL):
+            assert ens.positions[:, k].flags.c_contiguous
+
+
+def test_noise_is_regenerated_read_only(tg_ensemble):
+    first, second = tg_ensemble.noise, tg_ensemble.noise
+    assert first is not second
+    assert np.array_equal(first, second)
+    assert not first.flags.writeable
+    assert first.shape == (N_SMALL, M_SMALL, 3)
+
+
+def _header_size(path):
+    tag_len = int.from_bytes(path.read_bytes()[20:28], "little")
+    return 36 + tag_len
+
+
+def test_ensemble_file_of_wrong_length_rejected(tmp_path, tg_ensemble):
+    path = tmp_path / "tg.lgf"
+    dump_ensemble(tg_ensemble, path)
+    data = path.read_bytes()
+    payload = len(data) - _header_size(path)
+    for delta in (-8, 8):       # truncated, padded
+        path.write_bytes(data[:-8] if delta < 0 else data + bytes(8))
+        with pytest.raises(ValueError,
+                           match=f"{payload + delta} bytes.*implies {payload}"):
+            load_ensemble(path)
+    path.write_bytes(data[:30])
+    with pytest.raises(ValueError, match="header"):
+        load_ensemble(path)
+
+
+def test_ensemble_file_with_foreign_noise_rejected(tmp_path, tg_ensemble):
+    path = tmp_path / "tg.lgf"
+    dump_ensemble(tg_ensemble, path)
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x01            # last byte of the last stored increment
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="noise"):
+        load_ensemble(path)
+
+
+def test_truncated_process_file_rejected(tmp_path, tg_ensemble):
+    case = get_case("taylor_green")
+    sample = drift_process(case, tg_ensemble)
+    path = tmp_path / "drift.lgf"
+    dump_process(sample, path)
+    data = path.read_bytes()
+    scalar = N_SMALL * (M_SMALL + 1) * 8
+    # a third of the vector payload missing would once reload as width 2
+    path.write_bytes(data[:_header_size(path) + 2 * scalar])
+    with pytest.raises(ValueError, match=f"{2 * scalar} bytes.*{scalar}.*{3 * scalar}"):
+        load_process(path)
+    path.write_bytes(data[:-8])
+    with pytest.raises(ValueError, match="bytes"):
+        load_process(path)
+
+
 def test_process_dump_round_trip(tmp_path, tg_ensemble):
     case = get_case("taylor_green")
     sample = drift_process(case, tg_ensemble)

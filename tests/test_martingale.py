@@ -55,6 +55,12 @@ def test_accumulated_noise_products_are_martingale(wiener_ensemble):
     assert report.passed
 
 
+def test_single_path_rejected():
+    ens = simulate_wiener(1, 4, 1)
+    with pytest.raises(ValueError, match="N >= 2"):
+        martingale_test(brownian_component(ens), ens)
+
+
 def test_vector_sample_rejected(tg_ensemble):
     from lagrangeflow import drift_process
     v = drift_process(get_case("taylor_green"), tg_ensemble)
