@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .engine import (PathEnsemble, along_paths, drift_process, left_point_sum,
-                     pu_tag, require_tag)
+                     pu_tag, require_tag, run_chunks)
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, mean_with_error
 
@@ -146,11 +146,26 @@ def stochastic_action(case: FlowCase, ensemble: PathEnsemble) -> EstimateWithErr
 
 def _derivative(v: Array, gp: Array, ensemble: PathEnsemble,
                 h: PerturbationField) -> EstimateWithError:
-    """Contract drift v (N, M+1, 3) and left-point grad p (N, M, 3) with h."""
-    hv, hdv = h.realize(ensemble)
+    """Contract drift v (N, M+1, 3) and left-point grad p (N, M, 3) with h.
+
+    Works one component at a time from h's profile, so its scratch is a few
+    (N, M) arrays.  Each inner product is summed from zero in component
+    order, as ``.sum(axis=-1)`` does, and the (N, M) integrand is reduced
+    along its contiguous rows.
+    """
+    base, dbase, weight = h.profile(ensemble)
     m = ensemble.grid.steps
-    integrand = ((v[:, :m] * hdv[:, :m]).sum(axis=-1)
-                 - (gp * hv[:, :m]).sum(axis=-1))
+
+    def inner(field, profile):
+        total = np.zeros((ensemble.n_paths, m))
+        term = np.empty_like(total)
+        for j in range(3):
+            np.multiply(profile[:m], weight[:, j, None], out=term)
+            total += np.multiply(field[:, :m, j], term, out=term)
+        return total
+
+    integrand = inner(v, dbase)
+    integrand -= inner(gp, base)
     per_path = integrand.sum(axis=1) * ensemble.grid.dt
     return mean_with_error(per_path)
 
@@ -174,6 +189,8 @@ def action_derivatives_fd(case: FlowCase, ensemble: PathEnsemble, dictionary: li
     probe, which keeps O(N) scratch per probe and adds its terms in increasing
     k.  Pressure is evaluated afresh at every shifted position: this is the
     independent check on the analytic derivative and reads nothing from it.
+    Contiguous path chunks run on the worker threads (``run_chunks``); every
+    operation is elementwise per path, so the result does not depend on them.
     """
     if not _EPS_RANGE[0] <= eps <= _EPS_RANGE[1]:
         raise ValueError(f"eps must lie in {_EPS_RANGE}")
@@ -182,20 +199,28 @@ def action_derivatives_fd(case: FlowCase, ensemble: PathEnsemble, dictionary: li
     x = ensemble.positions
     grid = ensemble.grid
     times = grid.times
+    n = ensemble.n_paths
     profiles = [h.profile(ensemble) for h in dictionary]
     shifts = (eps, -eps)
-    acc = np.zeros((len(profiles), len(shifts), x.shape[0]))
-    for k in range(grid.steps):
-        t_rev = 1.0 - times[k]
-        x_k = x[:, k]
-        v_k = -u(t_rev, x_k)
-        for (base, dbase, weight), acc_h in zip(profiles, acc):
-            h_k, hdot_k = base[k] * weight, dbase[k] * weight
-            for shift, acc_s in zip(shifts, acc_h):
-                vs = v_k + shift * hdot_k
-                # |vs|^2 summed in the order .sum(axis=-1) uses, without its overhead
-                acc_s += (0.5 * (vs[:, 0]**2 + vs[:, 1]**2 + vs[:, 2]**2)
-                          - p(t_rev, x_k + shift * h_k))
+    acc = np.zeros((len(profiles), len(shifts), n))
+
+    def chunk(lo, hi):
+        # per-path gate weights are cut to the chunk; directions broadcast
+        local = [(base, dbase, weight[lo:hi] if len(weight) == n else weight)
+                 for base, dbase, weight in profiles]
+        for k in range(grid.steps):
+            t_rev = 1.0 - times[k]
+            x_k = x[lo:hi, k]
+            v_k = -u(t_rev, x_k)
+            for (base, dbase, weight), acc_h in zip(local, acc[:, :, lo:hi]):
+                h_k, hdot_k = base[k] * weight, dbase[k] * weight
+                for shift, acc_s in zip(shifts, acc_h):
+                    vs = v_k + shift * hdot_k
+                    # |vs|^2 summed in the order .sum(axis=-1) uses, without its overhead
+                    acc_s += (0.5 * (vs[:, 0]**2 + vs[:, 1]**2 + vs[:, 2]**2)
+                              - p(t_rev, x_k + shift * h_k))
+
+    run_chunks(n, chunk)
     return [mean_with_error((plus * grid.dt - minus * grid.dt) / (2.0 * eps))
             for plus, minus in acc]
 

@@ -19,6 +19,8 @@ are independent checks of each other.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from scipy import integrate, interpolate, special
 
@@ -241,10 +243,13 @@ def _h_second(xi):
 # Radial-quadrature pressure profile: p = gamma^2 / (16 pi^2 (t + t0)) * G(xi)
 # with G(eta) = int_0^eta h(s)^2 ds.  G is case-independent, so the adaptive
 # quadrature runs once per process and is stored as a cubic spline; past the
-# spline domain the exact exponential-integral tail takes over.
+# spline domain the exact exponential-integral tail takes over.  The spline
+# is evaluated from its knot and coefficient tables with numpy alone, which
+# releases the interpreter lock, so path chunks on worker threads overlap.
 _G_DOMAIN = 40.0
 _G_INF = 2.0 * np.log(2.0)
 _G_SPLINE = None
+_G_LOCK = threading.Lock()
 
 
 def _g_tail(eta):
@@ -254,14 +259,36 @@ def _g_tail(eta):
 
 def _g_spline():
     global _G_SPLINE
-    if _G_SPLINE is None:
-        knots = np.linspace(0.0, _G_DOMAIN, 2001)
-        pieces = [0.0]
-        for a, b in zip(knots[:-1], knots[1:]):
-            val, _ = integrate.quad(lambda s: _h(s) ** 2, a, b, limit=100)
-            pieces.append(val)
-        _G_SPLINE = interpolate.CubicSpline(knots, np.cumsum(pieces))
+    with _G_LOCK:
+        if _G_SPLINE is None:
+            knots = np.linspace(0.0, _G_DOMAIN, 2001)
+            pieces = [0.0]
+            for a, b in zip(knots[:-1], knots[1:]):
+                val, _ = integrate.quad(lambda s: _h(s) ** 2, a, b, limit=100)
+                pieces.append(val)
+            _G_SPLINE = interpolate.CubicSpline(knots, np.cumsum(pieces))
     return _G_SPLINE
+
+
+def _spline_eval(spline, eta):
+    """spline(eta) for eta in its domain, bit for bit what scipy computes.
+
+    Same interval (x[i] <= eta < x[i+1], the last knot in the last piece)
+    and the same power-form sum c3 + c2 s + c1 s^2 + c0 s^3, added in that
+    order with s^3 = (s s) s.  The knots are evenly spaced, so eta / spacing
+    lands on the interval or a neighbour of it, and one comparison with each
+    bounding knot settles which; that is several times cheaper than a binary
+    search.
+    """
+    x, c = spline.x, spline.c
+    last = len(x) - 2
+    i = np.clip((eta * (last + 1) / x[-1]).astype(np.intp), 0, last)
+    i -= eta < x[i]
+    i += eta >= x[i + 1]
+    np.clip(i, 0, last, out=i)
+    s = eta - x[i]
+    s2 = s * s
+    return c[3, i] + c[2, i] * s + c[1, i] * s2 + c[0, i] * (s2 * s)
 
 
 def _G(eta):
@@ -271,7 +298,7 @@ def _G(eta):
     spline = _g_spline()
     inside = eta <= _G_DOMAIN
     out = np.empty_like(eta)
-    out[inside] = spline(eta[inside])
+    out[inside] = _spline_eval(spline, eta[inside])
     if not inside.all():
         out[~inside] = _G_INF - _g_tail(eta[~inside])
     return out[0] if scalar else out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog
-from .action import DICTIONARIES, least_action_check, stochastic_action
+from .action import DICTIONARIES, least_action_check
 from .engine import CapacityError, simulate_pu, simulate_wiener, worker_count
 from .girsanov import action_entropy_identity
 from .martingale import martingale_test
@@ -32,7 +32,7 @@ from .noether import (UnknownGeneratorError, get_generator, el_process,
                       noether_process_general, noether_rotation_closed_form,
                       symmetry_check)
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 WIENER_SEED_OFFSET = 1      # wiener companion ensembles use seed + 1
 
 EXIT_SUITE_FAIL = 1
@@ -47,6 +47,16 @@ class ConfigError(ValueError):
         super().__init__(f"config field {field!r}: {message}")
 
 
+class UsageError(ValueError):
+    """A command line the parser rejects (unknown option, bad value)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints the usage and exits; report one line through main instead
+    def error(self, message):
+        raise UsageError(message)
+
+
 @dataclass
 class ExperimentConfig:
     command: str = ""
@@ -56,7 +66,6 @@ class ExperimentConfig:
     seed: int = 7
     alpha: float = 0.01
     generator: Optional[str] = None
-    eps: float = 1e-2
     dictionary: str = "default"
     grid: int = 5
     ablate_compensator: bool = False
@@ -73,8 +82,6 @@ class ExperimentConfig:
             raise ConfigError("seed", "must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha", "must lie in (0, 1)")
-        if not 1e-4 <= self.eps <= 1e-1:
-            raise ConfigError("eps", "must lie in [1e-4, 1e-1]")
         if self.dictionary not in DICTIONARIES:
             raise ConfigError("dictionary", f"must be one of {sorted(DICTIONARIES)}")
         if self.grid < 2:
@@ -84,7 +91,7 @@ class ExperimentConfig:
         return {
             "command": self.command, "case": self.case, "N": self.n_paths,
             "M": self.steps, "seed": self.seed, "alpha": self.alpha,
-            "generator": self.generator, "eps": self.eps,
+            "generator": self.generator,
             "dictionary": self.dictionary, "grid": self.grid,
             "ablate_compensator": self.ablate_compensator, "only": self.only,
         }
@@ -97,7 +104,6 @@ _CONFIG_KEYS = {
     "seed": ("seed", int),
     "alpha": ("alpha", float),
     "generator": ("generator", str),
-    "eps": ("eps", float),
     "dictionary": ("dictionary", str),
     "grid": ("grid", int),
     "ablate_compensator": ("ablate_compensator", lambda s: s.lower() in ("1", "true", "yes")),
@@ -138,7 +144,7 @@ def _resolve_config(args) -> ExperimentConfig:
         for attr, value in load_config_file(args.config).items():
             setattr(cfg, attr, value)
     for attr in ("case", "n_paths", "steps", "seed", "alpha", "generator",
-                 "eps", "dictionary", "grid", "ablate_compensator", "only"):
+                 "dictionary", "grid", "ablate_compensator", "only"):
         value = getattr(args, attr, None)
         if value is not None:
             setattr(cfg, attr, value)
@@ -197,22 +203,12 @@ def _cmd_action(cfg):
     case = _require_case(cfg)
     pu = simulate_pu(case, cfg.n_paths, cfg.steps, cfg.seed)
     wiener = simulate_wiener(cfg.n_paths, cfg.steps, cfg.seed + WIENER_SEED_OFFSET)
-    act = stochastic_action(case, pu)
     identity = action_entropy_identity(case, pu, wiener)
-    records = [{"name": "action", "value": act.value,
-                "std_error": act.std_error, "n": act.n_samples,
-                "grid_M": cfg.steps, "seed": cfg.seed}]
-    for key, val in identity.items():
-        if hasattr(val, "to_dict"):
-            records.append({"name": key, "value": val.value,
-                            "std_error": val.std_error, "n": val.n_samples,
-                            "grid_M": cfg.steps, "seed": cfg.seed})
     return {
         "case": cfg.case,
-        "action": act.to_dict(),
+        "action": identity["S"].to_dict(),
         "identity": {key: (val.to_dict() if hasattr(val, "to_dict") else val)
                      for key, val in identity.items()},
-        "records": records,
     }, 0
 
 
@@ -281,7 +277,7 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lagrangeflow",
         description="Monte Carlo verification of the stochastic least-action "
                     "model for viscosity-1/2 incompressible flows")
@@ -307,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p = sub.add_parser("least-action", help="criticality over a perturbation dictionary")
     add_common(p)
-    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--dictionary", type=str, default=None,
                    choices=sorted(DICTIONARIES))
     p = sub.add_parser("noether", help="symmetry gate plus invariant-process test")
@@ -347,11 +342,11 @@ def _table(results: dict, stream) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _resolve_config(args)
         results, code = _HANDLERS[args.command](cfg)
-    except ConfigError as err:
+    except (UsageError, ConfigError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_BAD_CONFIG
     except catalog.UnknownCaseError as err:

@@ -29,6 +29,7 @@ from .fields import Array, FlowCase
 _MAGIC = b"LGF1"
 _MASK64 = (1 << 64) - 1
 BLOCK_PATHS = 8192          # fixed; never derived from the worker count
+CHUNK_FLOOR = 2048          # fewest paths worth handing to a worker thread
 
 WIENER_TAG = "wiener"
 
@@ -145,15 +146,31 @@ def _blocks(n_paths: int) -> list:
             for i, lo in enumerate(range(0, n_paths, BLOCK_PATHS))]
 
 
-def _run_blocks(n_paths: int, fn) -> None:
-    blocks = _blocks(n_paths)
-    workers = worker_count()
-    if workers == 1 or len(blocks) == 1:
-        for b in blocks:
-            fn(*b)
+def _run_pool(fn, tasks: list) -> None:
+    """fn(*task) for every task, on up to worker_count() threads; inline for one."""
+    workers = min(worker_count(), len(tasks))
+    if workers <= 1:
+        for task in tasks:
+            fn(*task)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fn(*b), blocks))
+            list(pool.map(lambda task: fn(*task), tasks))
+
+
+def _run_blocks(n_paths: int, fn) -> None:
+    _run_pool(fn, _blocks(n_paths))
+
+
+def run_chunks(n_paths: int, fn) -> None:
+    """fn(lo, hi) over contiguous path chunks, one per worker.
+
+    Every chunk holds at least CHUNK_FLOOR paths, so below 2 * CHUNK_FLOOR
+    paths the whole range runs inline.  Callers must make each path's result
+    independent of the chunk it falls in; the chunking then never shows.
+    """
+    chunks = max(1, min(worker_count(), n_paths // CHUNK_FLOOR))
+    edges = [n_paths * i // chunks for i in range(chunks + 1)]
+    _run_pool(fn, list(zip(edges[:-1], edges[1:])))
 
 
 def _increments(seed: int, index: int, steps: int, out: Array) -> Array:

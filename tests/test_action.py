@@ -1,7 +1,12 @@
+import contextlib
+import dataclasses
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
-
-import dataclasses
+from hypothesis import given, settings, strategies as st
 
 from lagrangeflow import (FlowCase, PressureField, action_derivative_analytic,
                           action_derivative_fd, action_derivatives_fd,
@@ -9,6 +14,8 @@ from lagrangeflow import (FlowCase, PressureField, action_derivative_analytic,
                           gated_tanh_perturbation, get_case,
                           least_action_check, mean_with_error, simulate_pu,
                           sine_perturbation, stochastic_action)
+
+from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR
 
 from conftest import SEED
 
@@ -138,6 +145,90 @@ def test_fd_evaluates_drift_once_and_pressure_per_shift(tg_ensemble):
     m = tg_ensemble.grid.steps
     assert slices["u"] <= m + 1
     assert slices["p"] == 2 * m * len(dictionary)
+
+
+def test_fd_chunks_evaluate_each_point_once(monkeypatch):
+    # two workers and N above twice the floor: two chunks, and still every
+    # path point sees u at most once and p once per probe and sign
+    monkeypatch.setenv("LAGRANGEFLOW_THREADS", "2")
+    base = get_case("taylor_green")
+    n, m = 2 * CHUNK_FLOOR + 3, 6
+    ens = simulate_pu(base, n, m, SEED)
+    calls, points = {"u": 0, "p": 0}, {"u": 0, "p": 0}
+    lock = threading.Lock()
+
+    def counted(kind, fn):
+        def wrapped(t, x):
+            with lock:
+                calls[kind] += 1
+                points[kind] += x.shape[0]
+            return fn(t, x)
+        return wrapped
+
+    case = dataclasses.replace(
+        base,
+        velocity=dataclasses.replace(base.velocity,
+                                     eval=counted("u", base.velocity.eval)),
+        pressure=dataclasses.replace(base.pressure,
+                                     eval=counted("p", base.pressure.eval)))
+    dictionary = default_dictionary()
+    action_derivatives_fd(case, ens, dictionary)
+    assert calls["u"] == 2 * m                  # one slice per chunk and step
+    assert points["u"] <= n * (m + 1)
+    assert points["p"] == 2 * m * len(dictionary) * n
+
+
+def test_least_action_scratch_is_a_few_path_arrays(tg_ensemble):
+    # beyond v (N, M+1, 3) and grad p (N, M, 3), the contractions may hold
+    # no more than four (N, M) float64 arrays at once
+    case = get_case("taylor_green")
+    n, m = tg_ensemble.n_paths, tg_ensemble.grid.steps
+    least_action_check(case, tg_ensemble)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        least_action_check(case, tg_ensemble)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    v_bytes, gp_bytes = n * (m + 1) * 3 * 8, n * m * 3 * 8
+    assert peak < v_bytes + gp_bytes + 4 * n * m * 8
+
+
+@contextlib.contextmanager
+def _threads(value):
+    old = os.environ.get("LAGRANGEFLOW_THREADS")
+    os.environ["LAGRANGEFLOW_THREADS"] = value
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["LAGRANGEFLOW_THREADS"]
+        else:
+            os.environ["LAGRANGEFLOW_THREADS"] = old
+
+
+_EDGES = [e + d for e in (CHUNK_FLOOR, 2 * CHUNK_FLOOR, 3 * CHUNK_FLOOR,
+                          BLOCK_PATHS) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(name=st.sampled_from(["taylor_green", "lamb_oseen",
+                             "frozen_taylor_green"]),
+       n=st.one_of(st.sampled_from(_EDGES),
+                   st.integers(CHUNK_FLOOR - 1, BLOCK_PATHS + 1)),
+       m=st.integers(2, 12), seed=st.integers(0, 2**63 - 1))
+def test_criterion_3_outputs_invariant_to_worker_count(name, n, m, seed):
+    case = get_case(name)
+    ens = simulate_pu(case, n, m, seed)
+    dictionary = default_dictionary()
+    outputs = []
+    for threads in ("1", "2", "3", "8"):
+        with _threads(threads):
+            outputs.append((least_action_check(case, ens, dictionary),
+                            action_derivatives_fd(case, ens, dictionary)))
+    for other in outputs[1:]:
+        assert other == outputs[0]
 
 
 def test_fd_exact_for_locally_quadratic_pressure(zero_ensemble):

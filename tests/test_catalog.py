@@ -5,7 +5,7 @@ from scipy import special
 from lagrangeflow import (case_names, fd_residual_oracle, get_case,
                           make_lamb_oseen, make_zero_flow, ns_residual,
                           probe_grid, probe_residuals)
-from lagrangeflow.catalog import _G
+from lagrangeflow.catalog import _G, _g_spline
 
 
 ALL_CASES = case_names()
@@ -156,6 +156,24 @@ class TestLambOseen:
         closed = 2 * np.log(2) - (1 - 2 * special.expn(2, eta)
                                   + special.expn(2, 2 * eta)) / eta
         assert np.abs(_G(eta) - closed).max() <= 1e-8
+
+    def test_pressure_profile_is_the_spline_bit_for_bit(self):
+        # _G evaluates the spline from its tables with numpy alone; it must
+        # reproduce scipy's evaluation exactly, at every knot, on both float
+        # neighbours of every knot and at the domain ends
+        spline = _g_spline()
+        knots = spline.x
+        eta = np.concatenate([knots, np.nextafter(knots, -np.inf),
+                              np.nextafter(knots, np.inf), [0.0, 40.0],
+                              np.linspace(0.0, 40.0, 10_001)])
+        eta = eta[(eta >= 0.0) & (eta <= 40.0)]
+        assert np.array_equal(_G(eta).view(np.int64), spline(eta).view(np.int64))
+        assert _G(0.0) == spline(0.0) and _G(40.0) == spline(40.0)
+        # past the spline domain the exponential-integral tail takes over
+        past = np.array([np.nextafter(40.0, np.inf), 41.0, 1e3])
+        tail = 2 * np.log(2) - (1 - 2 * special.expn(2, past)
+                                + special.expn(2, 2 * past)) / past
+        assert np.array_equal(_G(past), tail)
 
     def test_pressure_gradient_matches_fd_of_value(self):
         case = get_case("lamb_oseen")

@@ -21,7 +21,7 @@ def test_catalog_command():
     code, out, err = run_cli(["catalog"])
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == "1.0"
+    assert report["schema_version"] == "1.1"
     assert report["command"] == "catalog"
     assert "config" in report
     names = [row["name"] for row in report["results"]["cases"]]
@@ -61,9 +61,13 @@ def test_el_test_command_verdicts():
 def test_action_command():
     code, out, _ = run_cli(["action", "--case", "zero_flow"] + SMALL)
     assert code == 0
-    identity = json.loads(out)["results"]["identity"]
+    results = json.loads(out)["results"]
+    identity = results["identity"]
     assert identity["S"]["value"] == pytest.approx(-0.5, abs=1e-12)
     assert identity["residual_minus"]["value"] == pytest.approx(0.0, abs=1e-12)
+    # schema 1.1: the action is the identity's S, and no records list
+    assert results["action"] == identity["S"]
+    assert sorted(results) == ["action", "case", "identity"]
 
 
 def test_least_action_command():
@@ -148,6 +152,29 @@ def test_invalid_config_exit_2(monkeypatch):
                             "--M", "4", "--seed", "0"])
     assert code == 2 and "LAGRANGEFLOW_THREADS" in err
     assert len(err.splitlines()) == 1
+
+
+def test_removed_eps_option_exit_2(tmp_path):
+    # schema 1.1 dropped eps, which nothing read; it is now an invalid input
+    code, out, err = run_cli(["least-action", "--case", "zero_flow",
+                              "--eps", "0.01"] + SMALL)
+    assert code == 2 and out == "" and "--eps" in err
+    assert len(err.splitlines()) == 1
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text("case = zero_flow\neps = 0.01\n")
+    code, out, err = run_cli(["least-action", "--config", str(cfg)] + SMALL)
+    assert code == 2 and out == "" and "'eps'" in err
+    assert len(err.splitlines()) == 1
+    code, _, _ = run_cli(["least-action", "--case", "zero_flow"] + SMALL)
+    assert code == 0
+
+
+def test_usage_errors_exit_2_with_one_line():
+    for argv in ([], ["el-test", "--N", "many"], ["launch"],
+                 ["least-action", "--dictionary", "huge"]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
 
 
 def test_capacity_exit_4():
