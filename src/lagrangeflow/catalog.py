@@ -83,10 +83,10 @@ def fd_residual_oracle(case: FlowCase, t: float, x: Array, step: float = 1e-3) -
     return dudt + conv + grad_p - 0.5 * lap
 
 
-def probe_grid(n_time: int = 5, n_space: int = 5, extent: float = np.pi):
-    """Standard verification grid: times in [0,1], points in [-extent, extent]^3."""
+def probe_grid(n_time: int = 5, n_space: int = 5):
+    """Standard verification grid: times in [0,1], points in [-pi, pi]^3."""
     times = np.linspace(0.0, 1.0, n_time)
-    axis = np.linspace(-extent, extent, n_space)
+    axis = np.linspace(-np.pi, np.pi, n_space)
     xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
     points = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=-1)
     return times, points

@@ -12,20 +12,20 @@ Exit codes partition the failure classes:
     1  acceptance suite reported a failed criterion
     2  unknown case/generator or invalid configuration
     3  symmetry gate violation (experiment ill-posed, report on stderr)
-    4  capacity failure (allocation size in the message)
+    4  allocation failure (the message names the size)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import catalog
 from .action import DICTIONARIES, least_action_check
-from .engine import CapacityError, simulate_pu, simulate_wiener, worker_count
+from .engine import simulate_pu, simulate_wiener, worker_count
 from .girsanov import action_entropy_identity
 from .martingale import martingale_test
 from .noether import (UnknownGeneratorError, get_generator, el_process,
@@ -57,57 +57,55 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class ExperimentConfig:
-    command: str = ""
-    case: Optional[str] = None
-    n_paths: int = 50000
-    steps: int = 200
-    seed: int = 7
-    alpha: float = 0.01
-    generator: Optional[str] = None
-    dictionary: str = "default"
-    grid: int = 5
-    ablate_compensator: bool = False
-    only: Optional[str] = None
-
-    def validate(self):
-        if self.n_paths < 2:
-            raise ConfigError("N", "must be >= 2")
-        if self.steps < 2:
-            raise ConfigError("M", "must be >= 2")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed", "must be an integer")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be >= 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha", "must lie in (0, 1)")
-        if self.dictionary not in DICTIONARIES:
-            raise ConfigError("dictionary", f"must be one of {sorted(DICTIONARIES)}")
-        if self.grid < 2:
-            raise ConfigError("grid", "must be >= 2")
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command, "case": self.case, "N": self.n_paths,
-            "M": self.steps, "seed": self.seed, "alpha": self.alpha,
-            "generator": self.generator,
-            "dictionary": self.dictionary, "grid": self.grid,
-            "ablate_compensator": self.ablate_compensator, "only": self.only,
-        }
+def _boolean(text: str) -> bool:
+    """1/0, true/false or yes/no, in any case; anything else is refused."""
+    word = text.lower()
+    if word not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError(text)
+    return word in ("1", "true", "yes")
 
 
-_CONFIG_KEYS = {
-    "case": ("case", str),
-    "N": ("n_paths", int),
-    "M": ("steps", int),
-    "seed": ("seed", int),
-    "alpha": ("alpha", float),
-    "generator": ("generator", str),
-    "dictionary": ("dictionary", str),
-    "grid": ("grid", int),
-    "ablate_compensator": ("ablate_compensator", lambda s: s.lower() in ("1", "true", "yes")),
+class _Option(NamedTuple):
+    parse: Callable[[str], object]
+    default: object
+    commands: tuple
+    choices: Optional[list] = None
+
+
+_ALL = ("catalog", "residual", "el-test", "action", "least-action", "noether",
+        "suite")
+_WITH_CASE = _ALL[1:-1]
+
+# Every option once, keyed as in the echoed config.  Each row gives the parser
+# of its value, its default, the commands that take it as --<key> and, for a
+# closed set, the values argparse lists.  Config files may set every key but
+# `only`; flags override file values.
+_OPTIONS = {
+    "case": _Option(str, None, _WITH_CASE),
+    "N": _Option(int, 50000, _ALL),
+    "M": _Option(int, 200, _ALL),
+    "seed": _Option(int, 7, _ALL),
+    "alpha": _Option(float, 0.01, _ALL),
+    "generator": _Option(str, None, ("noether",)),
+    "dictionary": _Option(str, "default", ("least-action",), sorted(DICTIONARIES)),
+    "grid": _Option(int, 5, ("residual",)),
+    "ablate_compensator": _Option(_boolean, False, ("noether",)),
+    "only": _Option(str, None, ("suite",)),
 }
+
+
+def _validate(cfg: dict) -> None:
+    for key, ok, message in (
+            ("N", cfg["N"] >= 2, "must be >= 2"),
+            ("M", cfg["M"] >= 2, "must be >= 2"),
+            ("seed", cfg["seed"] >= 0, "must be >= 0"),
+            ("seed", cfg["seed"] < 2**64, "must be < 2**64"),
+            ("alpha", 0.0 < cfg["alpha"] < 1.0, "must lie in (0, 1)"),
+            ("dictionary", cfg["dictionary"] in DICTIONARIES,
+             f"must be one of {sorted(DICTIONARIES)}"),
+            ("grid", cfg["grid"] >= 2, "must be >= 2")):
+        if not ok:
+            raise ConfigError(key, message)
 
 
 def load_config_file(path) -> dict:
@@ -128,27 +126,30 @@ def load_config_file(path) -> dict:
         if sep is None:
             raise ConfigError("config", f"cannot parse line {raw.strip()!r}")
         key, value = (part.strip() for part in line.split(sep, 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS or key == "only":
             raise ConfigError(key, "unknown config key")
-        attr, coerce = _CONFIG_KEYS[key]
         try:
-            overrides[attr] = coerce(value)
+            overrides[key] = _OPTIONS[key].parse(value)
         except ValueError:
             raise ConfigError(key, f"cannot parse value {value!r}") from None
     return overrides
 
 
-def _resolve_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig(command=args.command)
-    if getattr(args, "config", None):
-        for attr, value in load_config_file(args.config).items():
-            setattr(cfg, attr, value)
-    for attr in ("case", "n_paths", "steps", "seed", "alpha", "generator",
-                 "dictionary", "grid", "ablate_compensator", "only"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    cfg.validate()
+def _check_writable(path: str) -> None:
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ConfigError("out", f"cannot write {path!r}")
+
+
+def _resolve_config(args) -> dict:
+    cfg = {key: opt.default for key, opt in _OPTIONS.items()}
+    if args.config:
+        cfg.update(load_config_file(args.config))
+    cfg.update((key, value) for key in _OPTIONS
+               if (value := getattr(args, key, None)) is not None)
+    _validate(cfg)
+    if args.out:
+        _check_writable(args.out)
     try:
         worker_count()
     except ValueError:
@@ -161,28 +162,24 @@ def _resolve_config(args) -> ExperimentConfig:
 # command handlers: each returns (results dict, exit code)
 
 def _cmd_catalog(cfg):
-    rows = []
-    for name in catalog.case_names():
-        case = catalog.get_case(name)
-        rows.append({
-            "name": name,
-            "is_exact_solution": case.is_exact_solution,
-            "symmetries": sorted(case.symmetries),
-            "velocity_bound": case.velocity.bound,
-            "pressure_bound": case.pressure.bound,
-        })
-    return {"cases": rows}, 0
+    cases = map(catalog.get_case, catalog.case_names())
+    return {"cases": [{"name": case.name,
+                       "is_exact_solution": case.is_exact_solution,
+                       "symmetries": sorted(case.symmetries),
+                       "velocity_bound": case.velocity.bound,
+                       "pressure_bound": case.pressure.bound}
+                      for case in cases]}, 0
 
 
 def _require_case(cfg):
-    if not cfg.case:
+    if not cfg["case"]:
         raise ConfigError("case", "required for this command")
-    return catalog.get_case(cfg.case)
+    return catalog.get_case(cfg["case"])
 
 
 def _cmd_residual(cfg):
     case = _require_case(cfg)
-    diag = catalog.probe_residuals(case, n_time=cfg.grid, n_space=cfg.grid)
+    diag = catalog.probe_residuals(case, n_time=cfg["grid"], n_space=cfg["grid"])
     diag["is_exact_solution"] = case.is_exact_solution
     diag["residual_tol"] = case.residual_tol
     return diag, 0
@@ -190,22 +187,22 @@ def _cmd_residual(cfg):
 
 def _cmd_el_test(cfg):
     case = _require_case(cfg)
-    ensemble = simulate_pu(case, cfg.n_paths, cfg.steps, cfg.seed)
+    ensemble = simulate_pu(case, cfg["N"], cfg["M"], cfg["seed"])
     process = el_process(case, ensemble)
     components = [martingale_test(process.component(i), ensemble,
-                                  alpha=cfg.alpha).to_dict() for i in range(3)]
+                                  alpha=cfg["alpha"]).to_dict() for i in range(3)]
     verdict = "pass" if all(c["verdict"] == "pass" for c in components) else "fail"
-    return {"case": cfg.case, "components": components, "verdict": verdict,
+    return {"case": cfg["case"], "components": components, "verdict": verdict,
             "max_abs_z": max(c["max_abs_z"] for c in components)}, 0
 
 
 def _cmd_action(cfg):
     case = _require_case(cfg)
-    pu = simulate_pu(case, cfg.n_paths, cfg.steps, cfg.seed)
-    wiener = simulate_wiener(cfg.n_paths, cfg.steps, cfg.seed + WIENER_SEED_OFFSET)
+    pu = simulate_pu(case, cfg["N"], cfg["M"], cfg["seed"])
+    wiener = simulate_wiener(cfg["N"], cfg["M"], cfg["seed"] + WIENER_SEED_OFFSET)
     identity = action_entropy_identity(case, pu, wiener)
     return {
-        "case": cfg.case,
+        "case": cfg["case"],
         "action": identity["S"].to_dict(),
         "identity": {key: (val.to_dict() if hasattr(val, "to_dict") else val)
                      for key, val in identity.items()},
@@ -214,49 +211,46 @@ def _cmd_action(cfg):
 
 def _cmd_least_action(cfg):
     case = _require_case(cfg)
-    ensemble = simulate_pu(case, cfg.n_paths, cfg.steps, cfg.seed)
+    ensemble = simulate_pu(case, cfg["N"], cfg["M"], cfg["seed"])
     report = least_action_check(case, ensemble,
-                                dictionary=DICTIONARIES[cfg.dictionary](),
-                                alpha=cfg.alpha)
-    report["case"] = cfg.case
+                                dictionary=DICTIONARIES[cfg["dictionary"]](),
+                                alpha=cfg["alpha"])
+    report["case"] = cfg["case"]
     return report, 0
 
 
 def _cmd_noether(cfg):
     case = _require_case(cfg)
-    if not cfg.generator:
+    if not cfg["generator"]:
         raise ConfigError("generator", "required for the noether command")
-    gen = get_generator(cfg.generator)
+    gen = get_generator(cfg["generator"])
     gate = symmetry_check(case, gen)
+    head = {"case": cfg["case"], "generator": cfg["generator"],
+            "symmetry_check": gate.to_dict()}
     if not gate.within_gate:
-        return {"case": cfg.case, "generator": cfg.generator,
-                "symmetry_check": gate.to_dict(),
-                "verdict": "refused"}, EXIT_GATE
-    ensemble = simulate_pu(case, cfg.n_paths, cfg.steps, cfg.seed)
-    if cfg.generator == "rotation_e3":
+        return {**head, "verdict": "refused"}, EXIT_GATE
+    ensemble = simulate_pu(case, cfg["N"], cfg["M"], cfg["seed"])
+    if cfg["generator"] == "rotation_e3":
         process = noether_rotation_closed_form(
-            case, ensemble, include_compensator=not cfg.ablate_compensator)
+            case, ensemble, include_compensator=not cfg["ablate_compensator"])
     else:
-        if cfg.ablate_compensator:
+        if cfg["ablate_compensator"]:
             raise ConfigError("ablate_compensator",
                               "only meaningful for rotation_e3")
         process = noether_process_general(case, ensemble, gen)
-    report = martingale_test(process, ensemble, alpha=cfg.alpha)
-    return {"case": cfg.case, "generator": cfg.generator,
-            "symmetry_check": gate.to_dict(),
-            "process": process.label,
-            "martingale": report.to_dict(),
+    report = martingale_test(process, ensemble, alpha=cfg["alpha"])
+    return {**head, "process": process.label, "martingale": report.to_dict(),
             "verdict": report.verdict}, 0
 
 
 def _cmd_suite(cfg):
     from .suite import CRITERIA, SuiteScale, run_suite
-    scale = SuiteScale(n_paths=cfg.n_paths, steps=cfg.steps,
-                       seed=cfg.seed, alpha=cfg.alpha)
+    scale = SuiteScale(n_paths=cfg["N"], steps=cfg["M"],
+                       seed=cfg["seed"], alpha=cfg["alpha"])
     only = None
-    if cfg.only:
+    if cfg["only"]:
         try:
-            only = [int(tok) for tok in cfg.only.split(",")]
+            only = [int(tok) for tok in cfg["only"].split(",")]
         except ValueError:
             raise ConfigError("only", "expected comma-separated criterion numbers") from None
         if any(not 1 <= i <= len(CRITERIA) for i in only):
@@ -265,14 +259,14 @@ def _cmd_suite(cfg):
     return report, 0 if report["passed"] else EXIT_SUITE_FAIL
 
 
-_HANDLERS = {
-    "catalog": _cmd_catalog,
-    "residual": _cmd_residual,
-    "el-test": _cmd_el_test,
-    "action": _cmd_action,
-    "least-action": _cmd_least_action,
-    "noether": _cmd_noether,
-    "suite": _cmd_suite,
+_COMMANDS = {
+    "catalog": (_cmd_catalog, "list cases"),
+    "residual": (_cmd_residual, "probe-grid momentum residual"),
+    "el-test": (_cmd_el_test, "Euler-Lagrange martingale test"),
+    "action": (_cmd_action, "stochastic action and entropy identity"),
+    "least-action": (_cmd_least_action, "criticality over a perturbation dictionary"),
+    "noether": (_cmd_noether, "symmetry gate plus invariant-process test"),
+    "suite": (_cmd_suite, "run the full acceptance battery"),
 }
 
 
@@ -282,38 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo verification of the stochastic least-action "
                     "model for viscosity-1/2 incompressible flows")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_case=True):
-        if with_case:
-            p.add_argument("--case", type=str, default=None)
-        p.add_argument("--N", dest="n_paths", type=int, default=None)
-        p.add_argument("--M", dest="steps", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--out", type=str, default=None)
-
-    add_common(sub.add_parser("catalog", help="list cases"), with_case=False)
-    p = sub.add_parser("residual", help="probe-grid momentum residual")
-    add_common(p)
-    p.add_argument("--grid", type=int, default=None)
-    p = sub.add_parser("el-test", help="Euler-Lagrange martingale test")
-    add_common(p)
-    p = sub.add_parser("action", help="stochastic action and entropy identity")
-    add_common(p)
-    p = sub.add_parser("least-action", help="criticality over a perturbation dictionary")
-    add_common(p)
-    p.add_argument("--dictionary", type=str, default=None,
-                   choices=sorted(DICTIONARIES))
-    p = sub.add_parser("noether", help="symmetry gate plus invariant-process test")
-    add_common(p)
-    p.add_argument("--generator", type=str, default=None)
-    p.add_argument("--ablate-compensator", dest="ablate_compensator",
-                   action="store_const", const=True, default=None)
-    p = sub.add_parser("suite", help="run the full acceptance battery")
-    add_common(p, with_case=False)
-    p.add_argument("--only", type=str, default=None,
-                   help="comma-separated criterion numbers (default: all)")
+    for command, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for key, opt in _OPTIONS.items():
+            if command not in opt.commands:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if opt.parse is _boolean:
+                p.add_argument(flag, action="store_const", const=True)
+            else:
+                p.add_argument(flag, type=opt.parse, choices=opt.choices)
+        p.add_argument("--config")
+        p.add_argument("--out")
     return parser
 
 
@@ -327,15 +301,8 @@ def _emit(report: dict, out: Optional[str]) -> None:
 
 
 def _table(results: dict, stream) -> None:
-    def rows(prefix, obj):
-        if isinstance(obj, dict):
-            for key in sorted(obj):
-                yield from rows(f"{prefix}{key}.", obj[key])
-        elif isinstance(obj, (list, tuple)):
-            yield prefix[:-1], f"[{len(obj)} entries]"
-        else:
-            yield prefix[:-1], obj
-    for name, value in rows("", results):
+    for name in sorted(results):
+        value = results[name]
         if isinstance(value, float):
             value = f"{value:.6g}"
         stream.write(f"  {name:<42} {value}\n")
@@ -345,7 +312,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _resolve_config(args)
-        results, code = _HANDLERS[args.command](cfg)
+        results, code = _COMMANDS[args.command][0](cfg)
     except (UsageError, ConfigError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_BAD_CONFIG
@@ -356,13 +323,14 @@ def main(argv=None) -> int:
     except UnknownGeneratorError as err:
         sys.stderr.write(f"error: unknown generator {err.args[0]!r}\n")
         return EXIT_BAD_CONFIG
-    except CapacityError as err:
-        sys.stderr.write(f"error: {err}\n")
+    except MemoryError as err:      # CapacityError or any failed allocation
+        sys.stderr.write(f"error: {str(err) or 'out of memory'}\n")
         return EXIT_CAPACITY
 
     report = {"schema_version": SCHEMA_VERSION, "command": args.command,
-              "config": cfg.to_dict(), "results": results}
-    _emit(report, getattr(args, "out", None))
+              "config": {"command": args.command, **cfg},
+              "results": results}
+    _emit(report, args.out)
     sys.stderr.write(f"lagrangeflow {args.command}\n")
     if "criteria" in results:
         for row in results["criteria"]:

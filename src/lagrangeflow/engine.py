@@ -194,6 +194,8 @@ def _simulate(drift, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsem
         raise ValueError("M must be >= 2")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    if seed > _MASK64:
+        raise ValueError("seed must be < 2**64")
     grid = TimeGrid(steps)
     dt = grid.dt
     times = grid.times

@@ -43,10 +43,6 @@ class VelocityField:
             axis=-1,
         )
 
-    def divergence(self, t: float, x: Array) -> Array:
-        J = self.jacobian(t, x)
-        return J[..., 0, 0] + J[..., 1, 1] + J[..., 2, 2]
-
 
 @dataclass(frozen=True)
 class PressureField:
@@ -76,13 +72,12 @@ class FlowCase:
     residual_tol: float = 1e-8
 
 
-def rotated_case(case: FlowCase, rot: Array, name: str,
-                 symmetries: frozenset = frozenset()) -> FlowCase:
+def rotated_case(case: FlowCase, rot: Array, name: str) -> FlowCase:
     """Conjugate a flow case by an orthogonal matrix: u'(t,x) = R u(t, R^T x).
 
     Orthogonal conjugation maps exact solutions to exact solutions and
     preserves all bounds, so the derived case inherits ``is_exact_solution``
-    and ``residual_tol``.
+    and ``residual_tol``.  It carries no symmetry tags.
     """
     R = np.asarray(rot, dtype=float)
     if R.shape != (3, 3) or not np.allclose(R @ R.T, np.eye(3), atol=1e-12):
@@ -117,6 +112,5 @@ def rotated_case(case: FlowCase, rot: Array, name: str,
         velocity=VelocityField(u_eval, u_dt, u_jac, u_lap, vel.bound),
         pressure=PressureField(p_eval, p_grad, pre.bound),
         is_exact_solution=case.is_exact_solution,
-        symmetries=symmetries,
         residual_tol=case.residual_tol,
     )

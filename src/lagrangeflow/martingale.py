@@ -68,8 +68,8 @@ class MartingaleTestReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_dict(self, include_cells: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "j_labels": list(self.j_labels),
             "J": len(self.j_labels),
             "M_used": self.m_used,
@@ -78,14 +78,12 @@ class MartingaleTestReport:
             "max_abs_z": self.max_abs_z,
             "verdict": self.verdict,
             "final_cell_max_abs_z": self.final_cell_max_abs_z,
-        }
-        if include_cells:
-            out["cells"] = {
+            "cells": {
                 "statistic": self.statistic.tolist(),
                 "std_error": self.std_error.tolist(),
                 "z": self.z.tolist(),
-            }
-        return out
+            },
+        }
 
     def z_matrix_csv(self, path) -> None:
         """Rows k, columns j, for external plotting."""
@@ -159,7 +157,7 @@ def covariation(a: ProcessSample, b: ProcessSample) -> ProcessSample:
 
 
 def richardson_bias_probe(builder, steps: int, seed: int = 0,
-                          alpha: float = 0.01, resolve_z: float = 5.0) -> dict:
+                          alpha: float = 0.01) -> dict:
     """Separate discretization bias from statistical noise by grid doubling.
 
     ``builder(steps, seed)`` must return a (scalar ProcessSample, ensemble)
@@ -167,7 +165,7 @@ def richardson_bias_probe(builder, steps: int, seed: int = 0,
     ``2 * steps`` with fresh seeds and compares the worst-cell drift rate
     max_{j,k} |statistic| / dt.  Genuine drift is resolution independent
     (ratio near 1); a true martingale's discretization bias halves; when no
-    cell clears ``resolve_z`` standard errors the probe reports
+    cell clears 5 standard errors the probe reports
     "noise-dominated" instead of a meaningless ratio.
     """
     reports = []
@@ -175,7 +173,7 @@ def richardson_bias_probe(builder, steps: int, seed: int = 0,
         sample, ensemble = builder(m, seed + 1 + i)
         reports.append(martingale_test(sample, ensemble, alpha=alpha))
     rate = [float(np.abs(r.statistic).max() * r.m_used) for r in reports]
-    resolved = min(r.max_abs_z for r in reports) >= resolve_z
+    resolved = min(r.max_abs_z for r in reports) >= 5.0
     return {
         "steps": (steps, 2 * steps),
         "bias_rate_coarse": rate[0],

@@ -281,10 +281,9 @@ def criterion_7_bracket_convergence(scale: SuiteScale, cache: _EnsembleCache) ->
             }}
 
 
-def criterion_8_statistical_soundness(scale: SuiteScale, cache: _EnsembleCache,
-                                      runs: int = 100) -> dict:
+def criterion_8_statistical_soundness(scale: SuiteScale, cache: _EnsembleCache) -> dict:
     """Size and power of the martingale test over repeated seeded runs."""
-    n, m = 2000, 50
+    n, m, runs = 2000, 50, 100
     false_rejections = 0
     drift_rejections = 0
     for i in range(runs):

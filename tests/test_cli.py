@@ -123,7 +123,7 @@ def test_unknown_case_and_generator_exit_2():
     assert code == 2 and "unknown generator" in err
 
 
-def test_invalid_config_exit_2(monkeypatch):
+def test_invalid_config_exit_2(monkeypatch, tmp_path):
     code, _, err = run_cli(["el-test", "--case", "zero_flow", "--alpha", "2.0",
                             "--N", "10", "--M", "4", "--seed", "0"])
     assert code == 2 and "alpha" in err
@@ -147,6 +147,26 @@ def test_invalid_config_exit_2(monkeypatch):
                                 "--M", "4", "--seed", "0", "--config", missing])
         assert code == 2 and "'config'" in err and missing in err
         assert len(err.splitlines()) == 1
+    files = {"nosep.cfg": "case zero_flow\n", "abc.cfg": "N = abc\n",
+             "dict.cfg": "dictionary = foo\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    tiny = ["--case", "zero_flow", "--N", "10", "--M", "4", "--seed", "0"]
+    for argv, field in (
+            (["el-test"] + tiny + ["--seed", str(2**64)], "'seed'"),
+            (["el-test"] + tiny + ["--M", "1"], "'M'"),
+            (["residual", "--case", "zero_flow", "--grid", "1"], "'grid'"),
+            (["el-test"] + tiny + ["--config", str(tmp_path / "nosep.cfg")],
+             "'config'"),
+            (["el-test"] + tiny[:2] + ["--config", str(tmp_path / "abc.cfg")],
+             "'N'"),
+            (["least-action"] + tiny + ["--config", str(tmp_path / "dict.cfg")],
+             "'dictionary'"),
+            (["suite", "--only", "1,x"], "'only'"),
+            (["noether"] + tiny, "'generator'")):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "" and field in err, argv
+        assert len(err.splitlines()) == 1, argv
     monkeypatch.setenv("LAGRANGEFLOW_THREADS", "abc")
     code, _, err = run_cli(["el-test", "--case", "zero_flow", "--N", "10",
                             "--M", "4", "--seed", "0"])
@@ -181,6 +201,12 @@ def test_capacity_exit_4():
     code, _, err = run_cli(["el-test", "--case", "zero_flow",
                             "--N", str(2**42), "--M", "8", "--seed", "0"])
     assert code == 4 and "bytes" in err
+    # any failed allocation, not only the engine's capacity check: the probe
+    # grid's meshgrid asks for 7 PiB and numpy refuses at once
+    code, out, err = run_cli(["residual", "--case", "taylor_green",
+                              "--grid", "100000"])
+    assert code == 4 and out == "" and err.startswith("error: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -206,6 +232,17 @@ def test_config_file_and_flag_precedence(tmp_path):
     code, _, err = run_cli(["el-test", "--config", str(bad)])
     assert code == 2 and "unknown config key" in err
 
+    flags = tmp_path / "flags.cfg"
+    for text, value in (("YES", True), ("0", False), ("False", False)):
+        flags.write_text(f"ablate_compensator = {text}\n")
+        code, out, _ = run_cli(["el-test", "--config", str(flags)] + SMALL[:2]
+                               + ["--case", "zero_flow", "--M", "4"])
+        assert code == 0
+        assert json.loads(out)["config"]["ablate_compensator"] is value
+    flags.write_text("ablate_compensator = maybe\n")
+    code, out, err = run_cli(["el-test", "--config", str(flags)])
+    assert code == 2 and out == "" and "cannot parse value 'maybe'" in err
+
 
 def test_out_file(tmp_path):
     target = tmp_path / "report.json"
@@ -213,6 +250,12 @@ def test_out_file(tmp_path):
                             "--out", str(target)])
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["command"] == "residual"
+    # an unwritable target is refused before any work, not after it
+    for bad in (tmp_path / "missing" / "r.json", tmp_path):
+        code, out, err = run_cli(["catalog", "--out", str(bad)])
+        assert code == 2 and out == "" and "'out'" in err
+        assert len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_repeat_runs_bit_identical():

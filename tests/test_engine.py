@@ -147,6 +147,9 @@ def test_simulation_preconditions():
         simulate_pu(case, 10, 1, 0)
     with pytest.raises(ValueError):
         simulate_pu(case, 10, 10, -3)
+    # the Philox key and the LGF1 header hold 64 bits; 2**64 would alias 0
+    with pytest.raises(ValueError):
+        simulate_pu(case, 10, 10, 2**64)
 
 
 def test_ensemble_dump_round_trip(tmp_path, tg_ensemble):
