@@ -22,10 +22,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import (PathEnsemble, along_paths, drift_process, left_point_sum,
-                     pu_tag, require_tag, run_chunks)
+from .engine import (PathEnsemble, along_paths, drift_process, pu_tag,
+                     require_tag, run_chunks)
 from .fields import Array, FlowCase
-from .girsanov import EstimateWithError, mean_with_error
+from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_error
 
 _EPS_RANGE = (1e-4, 1e-1)
 
@@ -131,13 +131,7 @@ DICTIONARIES = {"default": default_dictionary,
 
 def action_per_path(case: FlowCase, ensemble: PathEnsemble) -> Array:
     """Per-path action sum_k (|v_k|^2 / 2 - p(1 - t_k, X_k)) dt."""
-    require_tag(ensemble, pu_tag(case))
-    u, p = case.velocity.eval, case.pressure.eval
-
-    def term(t, x, dx):
-        return 0.5 * (u(t, x)**2).sum(axis=-1) - p(t, x)
-
-    return left_point_sum(term, ensemble) * ensemble.grid.dt
+    return drifted_path_functionals(case, ensemble)[2]
 
 
 def stochastic_action(case: FlowCase, ensemble: PathEnsemble) -> EstimateWithError:

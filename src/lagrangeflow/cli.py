@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import catalog
 from .action import DICTIONARIES, least_action_check
-from .engine import simulate_pu, simulate_wiener, worker_count
+from .engine import (WIENER_SEED_OFFSET, simulate_pu, simulate_wiener,
+                     worker_count)
 from .girsanov import action_entropy_identity
 from .martingale import martingale_test
 from .noether import (UnknownGeneratorError, get_generator, el_process,
@@ -33,7 +34,6 @@ from .noether import (UnknownGeneratorError, get_generator, el_process,
                       symmetry_check)
 
 SCHEMA_VERSION = "1.1"
-WIENER_SEED_OFFSET = 1      # wiener companion ensembles use seed + 1
 
 EXIT_SUITE_FAIL = 1
 EXIT_BAD_CONFIG = 2
@@ -75,6 +75,7 @@ class _Option(NamedTuple):
 _ALL = ("catalog", "residual", "el-test", "action", "least-action", "noether",
         "suite")
 _WITH_CASE = _ALL[1:-1]
+_SIMULATING = _ALL[2:]
 
 # Every option once, keyed as in the echoed config.  Each row gives the parser
 # of its value, its default, the commands that take it as --<key> and, for a
@@ -82,10 +83,10 @@ _WITH_CASE = _ALL[1:-1]
 # `only`; flags override file values.
 _OPTIONS = {
     "case": _Option(str, None, _WITH_CASE),
-    "N": _Option(int, 50000, _ALL),
-    "M": _Option(int, 200, _ALL),
-    "seed": _Option(int, 7, _ALL),
-    "alpha": _Option(float, 0.01, _ALL),
+    "N": _Option(int, 50000, _SIMULATING),
+    "M": _Option(int, 200, _SIMULATING),
+    "seed": _Option(int, 7, _SIMULATING),
+    "alpha": _Option(float, 0.01, _SIMULATING),
     "generator": _Option(str, None, ("noether",)),
     "dictionary": _Option(str, "default", ("least-action",), sorted(DICTIONARIES)),
     "grid": _Option(int, 5, ("residual",)),

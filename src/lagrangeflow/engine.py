@@ -32,6 +32,7 @@ BLOCK_PATHS = 8192          # fixed; never derived from the worker count
 CHUNK_FLOOR = 2048          # fewest paths worth handing to a worker thread
 
 WIENER_TAG = "wiener"
+WIENER_SEED_OFFSET = 1      # a drifted ensemble's Wiener companion uses seed + 1
 
 
 class TagMismatchError(ValueError):
@@ -124,13 +125,14 @@ class ProcessSample:
 
 
 def worker_count() -> int:
-    """LAGRANGEFLOW_THREADS if set (a positive integer), else cores up to 8."""
+    """LAGRANGEFLOW_THREADS if set (a positive integer), else 8, capped at the
+    cores this process may run on: more threads than cores only contend."""
     env = os.environ.get("LAGRANGEFLOW_THREADS")
-    if env:
-        if not env.strip().isdecimal() or int(env) < 1:
-            raise ValueError("LAGRANGEFLOW_THREADS must be a positive integer")
-        return int(env)
-    return max(1, min(8, os.cpu_count() or 1))
+    if env and (not env.strip().isdecimal() or int(env) < 1):
+        raise ValueError("LAGRANGEFLOW_THREADS must be a positive integer")
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return min(int(env) if env else 8, cores)
 
 
 def _alloc(shape) -> Array:
@@ -385,20 +387,11 @@ def load_process(path) -> ProcessSample:
     return ProcessSample(grid, data.reshape(shape).copy(), label)
 
 
-def process_to_csv(sample: ProcessSample, path, ensemble_mean: bool = True) -> None:
-    """CSV export: column t_k, then ensemble-mean value(s) or per-path columns."""
+def process_to_csv(sample: ProcessSample, path) -> None:
+    """CSV export: column t_k, then the ensemble-mean value(s)."""
     times = sample.grid.times
-    if ensemble_mean:
-        mean = sample.values.mean(axis=0)
-        cols = [times] + ([mean] if mean.ndim == 1 else [mean[:, i] for i in range(3)])
-        header = "t," + ",".join(
-            ["mean"] if mean.ndim == 1 else [f"mean_{i + 1}" for i in range(3)])
-    else:
-        per_path = sample.values.reshape(sample.values.shape[0], len(times), -1)
-        cols = [times] + [per_path[n, :, i]
-                          for n in range(per_path.shape[0])
-                          for i in range(per_path.shape[2])]
-        header = "t," + ",".join(
-            f"path{n}_{i}" for n in range(per_path.shape[0])
-            for i in range(per_path.shape[2]))
+    mean = sample.values.mean(axis=0)
+    cols = [times] + ([mean] if mean.ndim == 1 else [mean[:, i] for i in range(3)])
+    header = "t," + ",".join(
+        ["mean"] if mean.ndim == 1 else [f"mean_{i + 1}" for i in range(3)])
     np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")

@@ -72,6 +72,24 @@ def pressure_integral(case: FlowCase, ensemble: PathEnsemble) -> Array:
     return left_point_sum(lambda t, x, dx: p(t, x), ensemble) * ensemble.grid.dt
 
 
+def drifted_path_functionals(case: FlowCase, ensemble: PathEnsemble) -> tuple:
+    """Per-path (ln dP_u/dmu, int p dt, action) of a drifted ensemble from one
+    walk that evaluates u and p once per step.  Each row is summed from zero
+    in increasing k, so the three equal ``log_density_pu``,
+    ``pressure_integral`` and the sum of (|u|^2 / 2 - p) dt bit for bit."""
+    require_tag(ensemble, pu_tag(case))
+    u, p = case.velocity.eval, case.pressure.eval
+    dt = ensemble.grid.dt
+
+    def term(t, x, dx):
+        u_k, p_k = u(t, x), p(t, x)
+        sq = (u_k**2).sum(axis=-1)
+        return np.stack([(u_k * dx).sum(axis=-1), sq * dt, p_k, 0.5 * sq - p_k])
+
+    ito, energy, pressure, action = left_point_sum(term, ensemble)
+    return -ito - 0.5 * energy, pressure * dt, action * dt
+
+
 def estimate_Zp(case: FlowCase, wiener_ensemble: PathEnsemble) -> EstimateWithError:
     """Normalization Z_p = E_mu[exp(int p(1-s, W_s) ds)]."""
     require_tag(wiener_ensemble, WIENER_TAG)
@@ -84,15 +102,10 @@ def relative_entropy(case: FlowCase, pu_ensemble: PathEnsemble,
 
     The first two expectations come from the same drifted ensemble, so their
     covariance is accounted for by estimating them as one per-path quantity;
-    the ln Z_p error enters by the delta method.
+    the ln Z_p error enters by the delta method.  This is the "H" entry of
+    ``action_entropy_identity``, which assembles it.
     """
-    require_tag(pu_ensemble, pu_tag(case))
-    require_same_grid(pu_ensemble, wiener_ensemble)
-    per_path = log_density_pu(case, pu_ensemble) - pressure_integral(case, pu_ensemble)
-    base = mean_with_error(per_path)
-    z = estimate_Zp(case, wiener_ensemble)
-    se = float(np.hypot(base.std_error, z.std_error / z.value))
-    return EstimateWithError(base.value + float(np.log(z.value)), se, base.n_samples)
+    return action_entropy_identity(case, pu_ensemble, wiener_ensemble)["H"]
 
 
 def action_entropy_identity(case: FlowCase, pu_ensemble: PathEnsemble,
@@ -104,35 +117,28 @@ def action_entropy_identity(case: FlowCase, pu_ensemble: PathEnsemble,
     residual_minus and the residual's standard error reflects only the
     genuinely fluctuating part.
     """
-    from .action import action_per_path  # local import; action uses our types
-
     require_tag(pu_ensemble, pu_tag(case))
     require_same_grid(pu_ensemble, wiener_ensemble)
-    grid = pu_ensemble.grid
-
-    act = action_per_path(case, pu_ensemble)
-    dens_minus_p = (log_density_pu(case, pu_ensemble)
-                    - pressure_integral(case, pu_ensemble))
+    log_density, pressure, act = drifted_path_functionals(case, pu_ensemble)
+    dens_minus_p = log_density - pressure
     z = estimate_Zp(case, wiener_ensemble)
     ln_z = float(np.log(z.value))
     se_ln_z = z.std_error / z.value
 
-    s_est = mean_with_error(act)
-    h_base = mean_with_error(dens_minus_p)
-    h_est = EstimateWithError(h_base.value + ln_z,
-                              float(np.hypot(h_base.std_error, se_ln_z)),
-                              h_base.n_samples)
+    def plus_ln_z(est, factor):
+        """est + factor * ln Z_p, whose error enters by the delta method."""
+        return EstimateWithError(est.value + factor * ln_z,
+                                 float(np.hypot(est.std_error, factor * se_ln_z)),
+                                 est.n_samples)
+
     res_minus = mean_with_error(act - dens_minus_p)     # ln Z_p cancels
-    res_plus = EstimateWithError(res_minus.value - 2.0 * ln_z,
-                                 float(np.hypot(res_minus.std_error, 2.0 * se_ln_z)),
-                                 res_minus.n_samples)
-    budget = 3.0 * res_minus.std_error + 2.0 / grid.steps
+    budget = 3.0 * res_minus.std_error + 2.0 / pu_ensemble.grid.steps
     return {
-        "S": s_est,
-        "H": h_est,
+        "S": mean_with_error(act),
+        "H": plus_ln_z(mean_with_error(dens_minus_p), 1.0),
         "ln_Zp": EstimateWithError(ln_z, float(se_ln_z), z.n_samples),
         "residual_minus": res_minus,
-        "residual_plus": res_plus,
+        "residual_plus": plus_ln_z(res_minus, -2.0),
         "identity_budget": budget,
         "identity_holds": bool(abs(res_minus.value) <= budget),
     }

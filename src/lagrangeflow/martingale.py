@@ -1,11 +1,11 @@
 """Statistical test of the martingale null for discretized processes.
 
-The martingale property is operationalized cell by cell: for every adapted
-test function psi_j and every grid interval k, the increment satisfies
-E[dP_k * psi_j(history_k)] = 0 under the null.  Each cell gets a z statistic
-from N independent paths and the family-wise verdict applies a Bonferroni
-correction over all (j, k) cells, which keeps rejections localized to the
-time and the test function that caused them.
+The martingale property is operationalized cell by cell: for each adapted
+test function psi_j of a fixed dictionary and every grid interval k, the
+increment satisfies E[dP_k * psi_j(history_k)] = 0 under the null.  Each
+cell gets a z statistic from N independent paths and the family-wise
+verdict applies a Bonferroni correction over all (j, k) cells, which keeps
+rejections localized to the time and the test function that caused them.
 
 All cataloged processes have bounded integrands, so their true martingales
 are genuine (not just local) martingales and no localization is needed.  The
@@ -25,23 +25,10 @@ from .engine import PathEnsemble, ProcessSample, require_same_grid
 
 CLIP_SQ_AT = 10.0
 _ZERO_MEAN_TOL = 1e-14
-
-
-def default_test_dictionary(ensemble: PathEnsemble, sample: ProcessSample) -> list:
-    """Adapted test functions: 1, the three coordinates, the process itself,
-    and the clipped squared radius (clipped at a fixed constant so heavy tails
-    cannot destabilize the per-cell standard errors)."""
-    m = sample.grid.steps
-    x = ensemble.positions[:, :m, :]
-    n = x.shape[0]
-    return [
-        ("one", np.ones((n, m))),
-        ("x1", x[:, :, 0]),
-        ("x2", x[:, :, 1]),
-        ("x3", x[:, :, 2]),
-        ("self", np.asarray(sample.values[:, :m], dtype=float)),
-        ("clip_sq", np.minimum((x**2).sum(axis=-1), CLIP_SQ_AT)),
-    ]
+# The test functions, read at the left point X_k of each cell: 1, the three
+# coordinates, the process itself, and |X_k|^2 clipped at a fixed constant so
+# heavy tails cannot destabilize the per-cell standard errors.
+TEST_FUNCTIONS = ("one", "x1", "x2", "x3", "self", "clip_sq")
 
 
 @dataclass(frozen=True)
@@ -91,16 +78,25 @@ class MartingaleTestReport:
                    header=",".join(self.j_labels), comments="")
 
 
+def _products(d_p: np.ndarray, x: np.ndarray, values: np.ndarray):
+    """d_p * psi_j for each of TEST_FUNCTIONS in turn, one (N, M) array at a
+    time, each path-major as d_p is, whatever the layout of psi_j."""
+    x1, x2, x3 = x[:, :, 0], x[:, :, 1], x[:, :, 2]
+    yield d_p                               # psi = 1, and x * 1.0 == x exactly
+    for psi in (x1, x2, x3, values):
+        yield np.multiply(d_p, psi, order="C")
+    # |x|^2 added in the order .sum(axis=-1) uses, with no (N, M, 3) temporary
+    yield np.multiply(d_p, np.minimum(x1**2 + x2**2 + x3**2, CLIP_SQ_AT), order="C")
+
+
 def martingale_test(sample: ProcessSample, ensemble: PathEnsemble,
-                    dictionary: list | None = None,
                     alpha: float = 0.01) -> MartingaleTestReport:
     """Bonferroni test of E[dP_k * psi_j] = 0 over all (j, k) cells.
 
     ``sample`` must be scalar valued; vector processes are tested one
-    component at a time by the caller.  A custom dictionary is a list of
-    (label, array) pairs with arrays of shape (N, M) whose column k only
-    depends on path data up to index k (adaptedness is a construction-time
-    contract; it cannot be detected after the fact).
+    component at a time by the caller.  The test functions psi_j are the
+    fixed ``TEST_FUNCTIONS``, read at the left point k of each cell from the
+    ensemble's positions and the sample's values, so every one is adapted.
     """
     if sample.is_vector:
         raise ValueError("martingale_test takes scalar samples; "
@@ -110,30 +106,22 @@ def martingale_test(sample: ProcessSample, ensemble: PathEnsemble,
     n, m = values.shape[0], sample.grid.steps
     if n < 2:
         raise ValueError("martingale_test needs N >= 2 paths for a standard error")
-    if dictionary is None:
-        dictionary = default_test_dictionary(ensemble, sample)
-    # path-major increments, so every y below is too and each cell mean sums
-    # its N products in path order, whatever layout the sample has
+    # path-major increments and products, so each cell mean sums its N
+    # products in path order, whatever layout the sample has
     d_p = np.subtract(values[:, 1:], values[:, :-1], order="C")
-
-    labels = tuple(lbl for lbl, _ in dictionary)
-    stat = np.empty((len(dictionary), m))
+    stat = np.empty((len(TEST_FUNCTIONS), m))
     se = np.empty_like(stat)
-    z = np.empty_like(stat)
-    for j, (_, psi) in enumerate(dictionary):
-        y = d_p * psi
+    for j, y in enumerate(_products(d_p, ensemble.positions[:, :m], values[:, :m])):
         stat[j] = y.mean(axis=0)
         se[j] = y.std(axis=0, ddof=1) / np.sqrt(n)
-        positive = se[j] > 0.0
-        z[j, positive] = stat[j, positive] / se[j, positive]
-        dm = stat[j, ~positive]
-        z[j, ~positive] = np.where(np.abs(dm) < _ZERO_MEAN_TOL, 0.0,
-                                   np.where(dm > 0, np.inf, -np.inf))
+    z = np.where(np.abs(stat) < _ZERO_MEAN_TOL, 0.0,
+                 np.where(stat > 0, np.inf, -np.inf))
+    np.divide(stat, se, out=z, where=se > 0.0)
 
-    threshold = NormalDist().inv_cdf(1.0 - alpha / (2.0 * len(dictionary) * m))
+    threshold = NormalDist().inv_cdf(1.0 - alpha / (2.0 * len(TEST_FUNCTIONS) * m))
     max_abs_z = float(np.abs(z).max())
     return MartingaleTestReport(
-        j_labels=labels, statistic=stat, std_error=se, z=z, m_used=m,
+        j_labels=TEST_FUNCTIONS, statistic=stat, std_error=se, z=z, m_used=m,
         alpha=alpha, threshold=threshold, max_abs_z=max_abs_z,
         verdict="pass" if max_abs_z < threshold else "fail",
         final_cell_max_abs_z=float(np.abs(z[:, -1]).max()),

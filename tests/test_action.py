@@ -3,6 +3,7 @@ import dataclasses
 import os
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,6 +152,7 @@ def test_fd_chunks_evaluate_each_point_once(monkeypatch):
     # two workers and N above twice the floor: two chunks, and still every
     # path point sees u at most once and p once per probe and sign
     monkeypatch.setenv("LAGRANGEFLOW_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     base = get_case("taylor_green")
     n, m = 2 * CHUNK_FLOOR + 3, 6
     ens = simulate_pu(base, n, m, SEED)
@@ -197,15 +199,11 @@ def test_least_action_scratch_is_a_few_path_arrays(tg_ensemble):
 
 @contextlib.contextmanager
 def _threads(value):
-    old = os.environ.get("LAGRANGEFLOW_THREADS")
-    os.environ["LAGRANGEFLOW_THREADS"] = value
-    try:
+    # eight usable cores, so every thread count here takes effect on any box
+    with mock.patch.dict(os.environ, {"LAGRANGEFLOW_THREADS": value}), \
+            mock.patch("os.sched_getaffinity", lambda pid: set(range(8)),
+                       create=True):
         yield
-    finally:
-        if old is None:
-            del os.environ["LAGRANGEFLOW_THREADS"]
-        else:
-            os.environ["LAGRANGEFLOW_THREADS"] = old
 
 
 _EDGES = [e + d for e in (CHUNK_FLOOR, 2 * CHUNK_FLOOR, 3 * CHUNK_FLOOR,

@@ -190,8 +190,14 @@ def test_removed_eps_option_exit_2(tmp_path):
 
 
 def test_usage_errors_exit_2_with_one_line():
+    # catalog and residual run no simulation, so they take no N, M, seed, alpha
+    # (values they would accept, so only the flag itself can be refused)
+    no_simulation = [[*command, flag, value]
+                     for command in (["catalog"], ["residual", "--case", "zero_flow"])
+                     for flag, value in (("--N", "999"), ("--M", "3"),
+                                         ("--seed", "3"), ("--alpha", "0.5"))]
     for argv in ([], ["el-test", "--N", "many"], ["launch"],
-                 ["least-action", "--dictionary", "huge"]):
+                 ["least-action", "--dictionary", "huge"], *no_simulation):
         code, out, err = run_cli(argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and len(err.splitlines()) == 1, argv

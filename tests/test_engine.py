@@ -6,7 +6,8 @@ import pytest
 from lagrangeflow import (CapacityError, TagMismatchError, TimeGrid,
                           drift_process, dump_ensemble, dump_process,
                           get_case, load_ensemble, load_process,
-                          process_to_csv, simulate_pu, simulate_wiener)
+                          process_to_csv, simulate_pu, simulate_wiener,
+                          worker_count)
 from lagrangeflow.engine import ProcessSample
 
 from conftest import M_SMALL, N_SMALL, SEED
@@ -53,21 +54,28 @@ def test_determinism_same_seed(tg_ensemble):
     assert np.array_equal(tg_ensemble.noise, again.noise)
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(monkeypatch):
+    # eight usable cores, so eight threads run on any box
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
     case = get_case("taylor_green")
     outputs = []
-    old = os.environ.get("LAGRANGEFLOW_THREADS")
-    try:
-        for threads in ("1", "8"):
-            os.environ["LAGRANGEFLOW_THREADS"] = threads
-            outputs.append(simulate_pu(case, 3 * 8192 + 17, 10, 99))
-    finally:
-        if old is None:
-            os.environ.pop("LAGRANGEFLOW_THREADS", None)
-        else:
-            os.environ["LAGRANGEFLOW_THREADS"] = old
+    for threads in ("1", "8"):
+        monkeypatch.setenv("LAGRANGEFLOW_THREADS", threads)
+        assert worker_count() == int(threads)
+        outputs.append(simulate_pu(case, 3 * 8192 + 17, 10, 99))
     assert np.array_equal(outputs[0].positions, outputs[1].positions)
     assert np.array_equal(outputs[0].noise, outputs[1].noise)
+
+
+def test_worker_count_capped_at_usable_cores(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("LAGRANGEFLOW_THREADS", "8")
+    assert worker_count() == 2
+    monkeypatch.setenv("LAGRANGEFLOW_THREADS", "1")
+    assert worker_count() == 1
+    monkeypatch.delenv("LAGRANGEFLOW_THREADS")
+    assert worker_count() == 2
 
 
 def test_ensembles_are_immutable(tg_ensemble):

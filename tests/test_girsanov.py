@@ -1,3 +1,6 @@
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from lagrangeflow import (TagMismatchError, action_entropy_identity,
                           mean_with_error, relative_entropy, simulate_pu,
                           simulate_wiener)
 from lagrangeflow.engine import GridMismatchError
-from lagrangeflow.girsanov import pressure_integral
+from lagrangeflow.girsanov import drifted_path_functionals, pressure_integral
 
 from conftest import M_SMALL, N_SMALL, SEED
 
@@ -140,3 +143,48 @@ class TestActionEntropyIdentity:
             rep = action_entropy_identity(case, pu, w)
             res = rep["residual_minus"]
             assert abs(res.value) <= 3.0 * res.std_error
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_one_walk_matches_the_separate_functionals(name):
+    # the drifted walk's three rows equal the single-purpose functionals and
+    # a per-step action loop bit for bit
+    case = get_case(name)
+    pu = simulate_pu(case, 500, 20, SEED)
+    log_density, pressure, action = drifted_path_functionals(case, pu)
+    assert np.array_equal(log_density, log_density_pu(case, pu))
+    assert np.array_equal(pressure, pressure_integral(case, pu))
+    grid, x = pu.grid, pu.positions
+    total = 0.0
+    for k in range(grid.steps):
+        t = 1.0 - grid.times[k]
+        total += (0.5 * (case.velocity.eval(t, x[:, k])**2).sum(axis=-1)
+                  - case.pressure.eval(t, x[:, k]))
+    assert np.array_equal(action, total * grid.dt)
+
+
+def test_identity_evaluates_each_field_once_per_step(tg_ensemble, wiener_ensemble):
+    # u and p once per step on the drifted paths, p once per step on the
+    # Wiener paths; the density on Wiener paths evaluates no pressure
+    base = get_case("taylor_green")
+    slices = collections.Counter()
+
+    def counted(kind, fn):
+        def wrapped(t, x):
+            drifted = np.may_share_memory(x, tg_ensemble.positions)
+            slices[kind, "pu" if drifted else "wiener"] += 1
+            return fn(t, x)
+        return wrapped
+
+    case = dataclasses.replace(
+        base,
+        velocity=dataclasses.replace(base.velocity,
+                                     eval=counted("u", base.velocity.eval)),
+        pressure=dataclasses.replace(base.pressure,
+                                     eval=counted("p", base.pressure.eval)))
+    m = tg_ensemble.grid.steps
+    action_entropy_identity(case, tg_ensemble, wiener_ensemble)
+    assert slices == {("u", "pu"): m, ("p", "pu"): m, ("p", "wiener"): m}
+    slices.clear()
+    log_density_pu(case, wiener_ensemble)
+    assert slices == {("u", "wiener"): m}

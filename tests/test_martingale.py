@@ -1,3 +1,4 @@
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from lagrangeflow import (covariation, get_case, martingale_test,
                           richardson_bias_probe, simulate_pu, simulate_wiener)
-from lagrangeflow.engine import GridMismatchError, ProcessSample
+from lagrangeflow.engine import BLOCK_PATHS, GridMismatchError, ProcessSample
+from lagrangeflow.martingale import CLIP_SQ_AT
 from lagrangeflow.noether import el_process
 
 from conftest import M_SMALL, N_SMALL, SEED
@@ -78,6 +80,63 @@ def test_report_serialization(tmp_path, wiener_ensemble):
     lines = (tmp_path / "z.csv").read_text().splitlines()
     assert lines[0].split(",") == list(report.j_labels)
     assert len(lines) == M_SMALL + 1
+
+
+def _materialized_dictionary_cells(sample, ensemble):
+    """Reference: (statistic, std_error, z) from the six test functions held
+    as (N, M) arrays, products taken one function at a time."""
+    values = np.asarray(sample.values, dtype=float)
+    n, m = values.shape[0], sample.grid.steps
+    x = ensemble.positions[:, :m, :]
+    dictionary = [np.ones((n, m)), x[:, :, 0], x[:, :, 1], x[:, :, 2],
+                  values[:, :m], np.minimum((x**2).sum(axis=-1), CLIP_SQ_AT)]
+    d_p = np.subtract(values[:, 1:], values[:, :-1], order="C")
+    stat, se, z = (np.empty((len(dictionary), m)) for _ in range(3))
+    for j, psi in enumerate(dictionary):
+        y = d_p * psi
+        stat[j] = y.mean(axis=0)
+        se[j] = y.std(axis=0, ddof=1) / np.sqrt(n)
+        positive = se[j] > 0.0
+        z[j, positive] = stat[j, positive] / se[j, positive]
+        dm = stat[j, ~positive]
+        z[j, ~positive] = np.where(np.abs(dm) < 1e-14, 0.0,
+                                   np.where(dm > 0, np.inf, -np.inf))
+    return stat, se, z
+
+
+def test_cells_equal_the_materialized_dictionary(wiener_ensemble, tg_ensemble):
+    big = simulate_pu(get_case("taylor_green"), BLOCK_PATHS + 5, 8, SEED)
+    el = el_process(get_case("taylor_green"), tg_ensemble)
+    times = np.broadcast_to(wiener_ensemble.grid.times, (N_SMALL, M_SMALL + 1))
+    cases = [
+        (brownian_component(wiener_ensemble, 1), wiener_ensemble),  # time-major
+        (el.component(0), tg_ensemble),                             # path-major
+        (ProcessSample(wiener_ensemble.grid, times, "t"), wiener_ensemble),
+        (brownian_component(big, 2), big),
+        (el_process(get_case("taylor_green"), big).component(1), big),
+    ]
+    for sample, ensemble in cases:
+        report = martingale_test(sample, ensemble)
+        stat, se, z = _materialized_dictionary_cells(sample, ensemble)
+        assert report.j_labels == ("one", "x1", "x2", "x3", "self", "clip_sq")
+        assert np.array_equal(report.statistic, stat), sample.label
+        assert np.array_equal(report.std_error, se), sample.label
+        assert np.array_equal(report.z, z), sample.label
+
+
+def test_scratch_is_four_path_arrays(wiener_ensemble):
+    # increments, the previous and the current product, and std's temporary;
+    # no (N, M) array of ones and no (N, M, 3) squares
+    sample = brownian_component(wiener_ensemble)
+    martingale_test(sample, wiener_ensemble)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        martingale_test(sample, wiener_ensemble)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * N_SMALL * M_SMALL * 8
 
 
 class TestCovariation:
