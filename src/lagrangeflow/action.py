@@ -16,18 +16,18 @@ derivative from the action alone as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import (PathEnsemble, along_paths, drift_process, pu_tag,
-                     require_tag, run_chunks)
+from .engine import CHUNK_FLOOR, PathEnsemble, pu_tag, require_tag, run_chunks
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_error
 
 _EPS_RANGE = (1e-4, 1e-1)
+_CHECK_PATHS = 1024     # paths per analytic sub-block, whose scratch is O(M) per path
 
 
 @dataclass(frozen=True)
@@ -108,19 +108,16 @@ def gated_tanh_perturbation(activation: float, label: str = "") -> PerturbationF
         energy_bound=4.5 * (np.pi / (1.0 - activation)) ** 2)
 
 
-def default_dictionary() -> list:
-    """Nine probes: sine and bump along each axis, plus three tanh gates."""
-    basis = np.eye(3)
-    entries = [sine_perturbation(basis[i], f"sine_e{i + 1}") for i in range(3)]
-    entries += [bump_perturbation(basis[i], f"bump_e{i + 1}") for i in range(3)]
-    entries += [gated_tanh_perturbation(a) for a in (0.25, 0.5, 0.75)]
-    return entries
-
-
 def deterministic_dictionary() -> list:
     basis = np.eye(3)
     return ([sine_perturbation(basis[i], f"sine_e{i + 1}") for i in range(3)]
             + [bump_perturbation(basis[i], f"bump_e{i + 1}") for i in range(3)])
+
+
+def default_dictionary() -> list:
+    """Nine probes: sine and bump along each axis, plus three tanh gates."""
+    return deterministic_dictionary() + [gated_tanh_perturbation(a)
+                                         for a in (0.25, 0.5, 0.75)]
 
 
 DICTIONARIES = {"default": default_dictionary,
@@ -138,38 +135,55 @@ def stochastic_action(case: FlowCase, ensemble: PathEnsemble) -> EstimateWithErr
     return mean_with_error(action_per_path(case, ensemble))
 
 
-def _derivative(v: Array, gp: Array, ensemble: PathEnsemble,
-                h: PerturbationField) -> EstimateWithError:
-    """Contract drift v (N, M+1, 3) and left-point grad p (N, M, 3) with h.
-
-    Works one component at a time from h's profile, so its scratch is a few
-    (N, M) arrays.  Each inner product is summed from zero in component
-    order, as ``.sum(axis=-1)`` does, and the (N, M) integrand is reduced
-    along its contiguous rows.
+def _per_path_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list,
+                    kernel, size: int = CHUNK_FLOOR) -> Array:
+    """(J, N) per-path values, one row per probe, from kernel(rows, profiles, out)
+    on the ensemble cut to blocks of at most ``size`` paths, on the worker
+    threads; out is the block's (J, B) slice, and no entry depends on its block.
     """
-    base, dbase, weight = h.profile(ensemble)
-    m = ensemble.grid.steps
+    require_tag(ensemble, pu_tag(case))
+    table = np.empty((len(dictionary), ensemble.n_paths))
 
-    def inner(field, profile):
-        total = np.zeros((ensemble.n_paths, m))
-        term = np.empty_like(total)
-        for j in range(3):
-            np.multiply(profile[:m], weight[:, j, None], out=term)
-            total += np.multiply(field[:, :m, j], term, out=term)
-        return total
+    def chunk(lo, hi):
+        for a in range(lo, hi, size):
+            b = min(a + size, hi)
+            rows = replace(ensemble, positions=ensemble.positions[a:b])
+            kernel(rows, [h.profile(rows) for h in dictionary], table[:, a:b])
 
-    integrand = inner(v, dbase)
-    integrand -= inner(gp, base)
-    per_path = integrand.sum(axis=1) * ensemble.grid.dt
-    return mean_with_error(per_path)
+    run_chunks(ensemble.n_paths, chunk)
+    return table
+
+
+def _analytic_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list) -> Array:
+    """Per-path sum_k (<v_k, hdot_k> - <grad p(1 - t_k, X_k), h_k>) dt, (J, N).
+
+    A block holds v and grad p for k < M, (B, M, 3) each, and a few (B, M)
+    arrays.  Inner products add components from zero in order, as
+    ``.sum(axis=-1)`` does, and each contiguous integrand row is summed whole.
+    """
+    u, grad_p = case.velocity.eval, case.pressure.gradient
+    times, m, dt = ensemble.grid.times, ensemble.grid.steps, ensemble.grid.dt
+
+    def kernel(rows, profiles, out):
+        v, gp = np.empty((2, rows.n_paths, m, 3))
+        for k in range(m):
+            v[:, k] = u(1.0 - times[k], rows.positions[:, k])
+            gp[:, k] = grad_p(1.0 - times[k], rows.positions[:, k])
+        np.negative(v, out=v)
+        for (base, dbase, weight), row in zip(profiles, out):
+            kinetic, potential = np.zeros((2, rows.n_paths, m))
+            for j in range(3):
+                kinetic += v[..., j] * (dbase[:m] * weight[:, j, None])
+                potential += gp[..., j] * (base[:m] * weight[:, j, None])
+            np.multiply((kinetic - potential).sum(axis=1), dt, out=row)
+
+    return _per_path_table(case, ensemble, dictionary, kernel, _CHECK_PATHS)
 
 
 def action_derivative_analytic(case: FlowCase, ensemble: PathEnsemble,
                                h: PerturbationField) -> EstimateWithError:
     """First-order action derivative E[sum (<v, hdot> - <grad p, h>) dt]."""
-    v = drift_process(case, ensemble).values
-    gp = along_paths(case.pressure.gradient, ensemble, ensemble.grid.steps)
-    return _derivative(v, gp, ensemble, h)
+    return mean_with_error(_analytic_table(case, ensemble, [h])[0])
 
 
 def action_derivatives_fd(case: FlowCase, ensemble: PathEnsemble, dictionary: list,
@@ -179,44 +193,43 @@ def action_derivatives_fd(case: FlowCase, ensemble: PathEnsemble, dictionary: li
     The path map omega -> omega + eps*h moves positions to X + eps*h and the
     drift process to v + eps*hdot; the difference quotient uses common random
     numbers, so only the genuinely nonlinear (pressure) part contributes
-    O(eps^2) error.  The drift is evaluated once per step and shared by every
-    probe, which keeps O(N) scratch per probe and adds its terms in increasing
-    k.  Pressure is evaluated afresh at every shifted position: this is the
-    independent check on the analytic derivative and reads nothing from it.
-    Contiguous path chunks run on the worker threads (``run_chunks``); every
-    operation is elementwise per path, so the result does not depend on them.
+    O(eps^2) error.  A path block stacks the shifted drifts and positions of
+    every probe and sign in two (2J, B, 3) arrays, so one u and one p call per
+    step serve them all, and adds each path's terms in increasing k.  p is
+    evaluated afresh at every shifted position: this is the independent check
+    on the analytic derivative and reads nothing from it.
     """
     if not _EPS_RANGE[0] <= eps <= _EPS_RANGE[1]:
         raise ValueError(f"eps must lie in {_EPS_RANGE}")
-    require_tag(ensemble, pu_tag(case))
     u, p = case.velocity.eval, case.pressure.eval
-    x = ensemble.positions
-    grid = ensemble.grid
-    times = grid.times
-    n = ensemble.n_paths
-    profiles = [h.profile(ensemble) for h in dictionary]
-    shifts = (eps, -eps)
-    acc = np.zeros((len(profiles), len(shifts), n))
+    times, m, dt = ensemble.grid.times, ensemble.grid.steps, ensemble.grid.dt
+    shifts = np.array([eps, -eps])[:, None, None]
 
-    def chunk(lo, hi):
-        # per-path gate weights are cut to the chunk; directions broadcast
-        local = [(base, dbase, weight[lo:hi] if len(weight) == n else weight)
-                 for base, dbase, weight in profiles]
-        for k in range(grid.steps):
+    def kernel(rows, profiles, out):
+        x, b, probes = rows.positions, rows.n_paths, len(profiles)
+        base, dbase = np.array([prof[:2] for prof in profiles]).swapaxes(0, 1)
+        weight = np.array([np.broadcast_to(w, (b, 3)) for _, _, w in profiles])
+        h_k = np.empty_like(weight)
+        xs, vs = np.empty((2, probes, 2, b, 3))
+        acc = np.zeros((probes * 2, b))
+        for k in range(m):
             t_rev = 1.0 - times[k]
-            x_k = x[lo:hi, k]
-            v_k = -u(t_rev, x_k)
-            for (base, dbase, weight), acc_h in zip(local, acc[:, :, lo:hi]):
-                h_k, hdot_k = base[k] * weight, dbase[k] * weight
-                for shift, acc_s in zip(shifts, acc_h):
-                    vs = v_k + shift * hdot_k
-                    # |vs|^2 summed in the order .sum(axis=-1) uses, without its overhead
-                    acc_s += (0.5 * (vs[:, 0]**2 + vs[:, 1]**2 + vs[:, 2]**2)
-                              - p(t_rev, x_k + shift * h_k))
+            # each (probe, sign) row takes shift * hdot_k + v_k, with v_k = -u,
+            # and shift * h_k + x_k: the operations of one probe at a time
+            np.multiply(dbase[:, k, None, None], weight, out=h_k)
+            np.multiply(h_k[:, None], shifts, out=vs)
+            vs -= u(t_rev, x[:, k])
+            np.multiply(base[:, k, None, None], weight, out=h_k)
+            np.multiply(h_k[:, None], shifts, out=xs)
+            xs += x[:, k]
+            v = vs.reshape(probes * 2, b, 3)
+            # |vs|^2 summed in the order .sum(axis=-1) uses, without its overhead
+            acc += (0.5 * (v[..., 0]**2 + v[..., 1]**2 + v[..., 2]**2)
+                    - p(t_rev, xs.reshape(probes * 2, b, 3)))
+        out[:] = (acc[0::2] * dt - acc[1::2] * dt) / (2.0 * eps)
 
-    run_chunks(n, chunk)
-    return [mean_with_error((plus * grid.dt - minus * grid.dt) / (2.0 * eps))
-            for plus, minus in acc]
+    table = _per_path_table(case, ensemble, dictionary, kernel)
+    return [mean_with_error(row) for row in table]
 
 
 def action_derivative_fd(case: FlowCase, ensemble: PathEnsemble,
@@ -238,11 +251,9 @@ def least_action_check(case: FlowCase, ensemble: PathEnsemble,
         raise ValueError("dictionary must be non-empty")
     if ensemble.n_paths < 2:
         raise ValueError("least_action_check needs N >= 2 paths for a standard error")
-    v = drift_process(case, ensemble).values
-    gp = along_paths(case.pressure.gradient, ensemble, ensemble.grid.steps)
     rows = []
-    for h in entries:
-        est = _derivative(v, gp, ensemble, h)
+    for h, per_path in zip(entries, _analytic_table(case, ensemble, entries)):
+        est = mean_with_error(per_path)
         if est.std_error > 0:
             z = est.value / est.std_error
         else:
@@ -251,9 +262,5 @@ def least_action_check(case: FlowCase, ensemble: PathEnsemble,
                      "std_error": est.std_error, "z": z})
     max_abs_z = max(abs(r["z"]) for r in rows)
     threshold = NormalDist().inv_cdf(1.0 - alpha / (2.0 * len(rows)))
-    return {
-        "entries": rows,
-        "max_abs_z": max_abs_z,
-        "threshold": threshold,
-        "verdict": "critical" if max_abs_z <= threshold else "not critical",
-    }
+    return {"entries": rows, "max_abs_z": max_abs_z, "threshold": threshold,
+            "verdict": "critical" if max_abs_z <= threshold else "not critical"}

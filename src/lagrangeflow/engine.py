@@ -29,7 +29,7 @@ from .fields import Array, FlowCase
 _MAGIC = b"LGF1"
 _MASK64 = (1 << 64) - 1
 BLOCK_PATHS = 8192          # fixed; never derived from the worker count
-CHUNK_FLOOR = 2048          # fewest paths worth handing to a worker thread
+CHUNK_FLOOR = 2048          # paths per block of run_chunks, fixed likewise
 
 WIENER_TAG = "wiener"
 WIENER_SEED_OFFSET = 1      # a drifted ensemble's Wiener companion uses seed + 1
@@ -95,8 +95,8 @@ class PathEnsemble:
     def noise(self) -> Array:
         steps = self.grid.steps
         out = _alloc((self.n_paths, steps, 3))
-        _run_blocks(self.n_paths, lambda index, lo, hi: _increments(
-            self.seed, index, steps, out[lo:hi]))
+        _run_pool(lambda index, lo, hi: _increments(
+            self.seed, index, steps, out[lo:hi]), _blocks(self.n_paths))
         out.flags.writeable = False
         return out
 
@@ -142,10 +142,10 @@ def _alloc(shape) -> Array:
         raise CapacityError(int(np.prod(shape)) * 8) from None
 
 
-def _blocks(n_paths: int) -> list:
+def _blocks(n_paths: int, size: int = BLOCK_PATHS) -> list:
     """(block index, first path, end path) of every fixed-size path block."""
-    return [(i, lo, min(lo + BLOCK_PATHS, n_paths))
-            for i, lo in enumerate(range(0, n_paths, BLOCK_PATHS))]
+    return [(i, lo, min(lo + size, n_paths))
+            for i, lo in enumerate(range(0, n_paths, size))]
 
 
 def _run_pool(fn, tasks: list) -> None:
@@ -159,20 +159,13 @@ def _run_pool(fn, tasks: list) -> None:
             list(pool.map(lambda task: fn(*task), tasks))
 
 
-def _run_blocks(n_paths: int, fn) -> None:
-    _run_pool(fn, _blocks(n_paths))
-
-
 def run_chunks(n_paths: int, fn) -> None:
-    """fn(lo, hi) over contiguous path chunks, one per worker.
-
-    Every chunk holds at least CHUNK_FLOOR paths, so below 2 * CHUNK_FLOOR
-    paths the whole range runs inline.  Callers must make each path's result
-    independent of the chunk it falls in; the chunking then never shows.
+    """fn(lo, hi) over fixed blocks of CHUNK_FLOOR paths (the last may be
+    shorter) on up to worker_count() threads, so no worker's scratch grows
+    with N.  Callers must make each path's result independent of its block;
+    the blocks then never show.
     """
-    chunks = max(1, min(worker_count(), n_paths // CHUNK_FLOOR))
-    edges = [n_paths * i // chunks for i in range(chunks + 1)]
-    _run_pool(fn, list(zip(edges[:-1], edges[1:])))
+    _run_pool(lambda _, lo, hi: fn(lo, hi), _blocks(n_paths, CHUNK_FLOOR))
 
 
 def _increments(seed: int, index: int, steps: int, out: Array) -> Array:
@@ -212,7 +205,7 @@ def _simulate(drift, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsem
                 step = drift(times[k], x[k]) * dt + step
             x[k + 1] = x[k] + step
 
-    _run_blocks(n_paths, run_block)
+    _run_pool(run_block, _blocks(n_paths))
     return _ensemble(grid, buffer, tag, seed)
 
 

@@ -16,6 +16,7 @@ from lagrangeflow import (FlowCase, PressureField, action_derivative_analytic,
                           least_action_check, mean_with_error, simulate_pu,
                           sine_perturbation, stochastic_action)
 
+from lagrangeflow.action import _CHECK_PATHS
 from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR
 
 from conftest import SEED
@@ -123,61 +124,70 @@ def test_fd_over_dictionary_equals_per_probe_loop(name, fixture, request):
         assert action_derivative_fd(case, ens, h, eps=1e-2) == est, h.label
 
 
-def _counting_case(case, slices):
+def _counting_case(case, points, calls=None):
+    # counts the points (x.size // 3) each field evaluator is asked for, and
+    # its calls; the lock keeps the counts exact on worker threads
+    lock = threading.Lock()
+    calls = {} if calls is None else calls
+
     def counted(kind, fn):
         def wrapped(t, x):
-            slices[kind] += 1
+            with lock:
+                points[kind] = points.get(kind, 0) + x.size // 3
+                calls[kind] = calls.get(kind, 0) + 1
             return fn(t, x)
         return wrapped
 
+    velocity, pressure = case.velocity, case.pressure
     return dataclasses.replace(
         case,
-        velocity=dataclasses.replace(case.velocity,
-                                     eval=counted("u", case.velocity.eval)),
-        pressure=dataclasses.replace(case.pressure,
-                                     eval=counted("p", case.pressure.eval)))
+        velocity=dataclasses.replace(velocity, eval=counted("u", velocity.eval)),
+        pressure=dataclasses.replace(
+            pressure, eval=counted("p", pressure.eval),
+            gradient=counted("gradp", pressure.gradient)))
 
 
 def test_fd_evaluates_drift_once_and_pressure_per_shift(tg_ensemble):
-    slices = {"u": 0, "p": 0}
-    case = _counting_case(get_case("taylor_green"), slices)
+    # every path point sees u once, and p once per probe and sign; all
+    # probes and signs of a block share one p call per step
+    points, calls = {}, {}
+    case = _counting_case(get_case("taylor_green"), points, calls)
     dictionary = default_dictionary()
     action_derivatives_fd(case, tg_ensemble, dictionary)
-    m = tg_ensemble.grid.steps
-    assert slices["u"] <= m + 1
-    assert slices["p"] == 2 * m * len(dictionary)
+    n, m = tg_ensemble.n_paths, tg_ensemble.grid.steps
+    blocks = -(-n // CHUNK_FLOOR)
+    assert points == {"u": n * m, "p": 2 * m * len(dictionary) * n}
+    assert calls["p"] <= m * blocks
 
 
 def test_fd_chunks_evaluate_each_point_once(monkeypatch):
-    # two workers and N above twice the floor: two chunks, and still every
-    # path point sees u at most once and p once per probe and sign
+    # two workers and N above twice the block: three blocks, the last of
+    # three paths, and still every path point sees u once and p once per
+    # probe and sign
     monkeypatch.setenv("LAGRANGEFLOW_THREADS", "2")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     base = get_case("taylor_green")
     n, m = 2 * CHUNK_FLOOR + 3, 6
     ens = simulate_pu(base, n, m, SEED)
-    calls, points = {"u": 0, "p": 0}, {"u": 0, "p": 0}
-    lock = threading.Lock()
-
-    def counted(kind, fn):
-        def wrapped(t, x):
-            with lock:
-                calls[kind] += 1
-                points[kind] += x.shape[0]
-            return fn(t, x)
-        return wrapped
-
-    case = dataclasses.replace(
-        base,
-        velocity=dataclasses.replace(base.velocity,
-                                     eval=counted("u", base.velocity.eval)),
-        pressure=dataclasses.replace(base.pressure,
-                                     eval=counted("p", base.pressure.eval)))
+    points, calls = {}, {}
+    case = _counting_case(base, points, calls)
     dictionary = default_dictionary()
     action_derivatives_fd(case, ens, dictionary)
-    assert calls["u"] == 2 * m                  # one slice per chunk and step
-    assert points["u"] <= n * (m + 1)
-    assert points["p"] == 2 * m * len(dictionary) * n
+    assert points == {"u": n * m, "p": 2 * m * len(dictionary) * n}
+    assert calls["p"] <= m * 3
+
+
+def test_least_action_evaluates_each_point_once(monkeypatch):
+    # u and grad p once per path point and k < M, over every block and
+    # sub-block, and nothing else
+    monkeypatch.setenv("LAGRANGEFLOW_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    base = get_case("taylor_green")
+    n, m = 2 * CHUNK_FLOOR + _CHECK_PATHS + 1, 5
+    ens = simulate_pu(base, n, m, SEED)
+    points = {}
+    least_action_check(_counting_case(base, points), ens)
+    assert points == {"u": n * m, "gradp": n * m}
 
 
 def test_least_action_scratch_is_a_few_path_arrays(tg_ensemble):
@@ -206,14 +216,37 @@ def _threads(value):
         yield
 
 
-_EDGES = [e + d for e in (CHUNK_FLOOR, 2 * CHUNK_FLOOR, 3 * CHUNK_FLOOR,
-                          BLOCK_PATHS) for d in (-1, 0, 1)]
+@pytest.mark.parametrize("estimator", [least_action_check, action_derivatives_fd])
+def test_criterion_3_scratch_does_not_grow_with_n(estimator):
+    # both estimators keep O(block) scratch plus a (J, N) per-path table, so
+    # four times the paths may not raise the allocation peak by half
+    case = get_case("taylor_green")
+    dictionary = default_dictionary()
+    peaks = []
+    for n in (4 * CHUNK_FLOOR, 16 * CHUNK_FLOOR):
+        ens = simulate_pu(case, n, 50, SEED)
+        with _threads("1"):
+            tracemalloc.start()
+            try:
+                estimator(case, ens, dictionary)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
-@settings(max_examples=15, deadline=None, database=None)
+# block edges of the analytic sub-blocks, of run_chunks and of the simulation;
+# e + 1 leaves a last block of one path
+_EDGES = [e + d for e in (_CHECK_PATHS, CHUNK_FLOOR, CHUNK_FLOOR + _CHECK_PATHS,
+                          2 * CHUNK_FLOOR, 3 * CHUNK_FLOOR, BLOCK_PATHS)
+          for d in (-1, 0, 1)]
+
+
+@settings(max_examples=20, deadline=None, database=None)
 @given(name=st.sampled_from(["taylor_green", "lamb_oseen",
                              "frozen_taylor_green"]),
        n=st.one_of(st.sampled_from(_EDGES),
+                   st.integers(2, _CHECK_PATHS - 1),
                    st.integers(CHUNK_FLOOR - 1, BLOCK_PATHS + 1)),
        m=st.integers(2, 12), seed=st.integers(0, 2**63 - 1))
 def test_criterion_3_outputs_invariant_to_worker_count(name, n, m, seed):
