@@ -93,10 +93,10 @@ class PathEnsemble:
 
     @property
     def noise(self) -> Array:
-        steps = self.grid.steps
-        out = _alloc((self.n_paths, steps, 3))
-        _run_pool(lambda index, lo, hi: _increments(
-            self.seed, index, steps, out[lo:hi]), _blocks(self.n_paths))
+        out = _alloc((self.n_paths, self.grid.steps, 3))
+        for lo, hi, piece in _increments(self.seed, self.grid.steps,
+                                         _blocks(self.n_paths)):
+            out[lo:hi] = piece
         out.flags.writeable = False
         return out
 
@@ -168,12 +168,19 @@ def run_chunks(n_paths: int, fn) -> None:
     _run_pool(lambda _, lo, hi: fn(lo, hi), _blocks(n_paths, CHUNK_FLOOR))
 
 
-def _increments(seed: int, index: int, steps: int, out: Array) -> Array:
-    """Fill out (rows, steps, 3) with block ``index``'s scaled Gaussian increments."""
-    gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, index]))
-    gen.standard_normal(out=out)
-    out *= np.sqrt(1.0 / steps)
-    return out
+def _increments(seed: int, steps: int, blocks):
+    """Yield (first path, end path, scaled increments) of the (index, first,
+    end) path blocks, CHUNK_FLOOR paths at a time.  One Philox generator per
+    block draws its pieces in order, which gives the numbers of one draw of the
+    whole block.  Each piece is overwritten by the next one."""
+    for index, lo, hi in blocks:
+        gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, index]))
+        scratch = np.empty((min(hi - lo, CHUNK_FLOOR), steps, 3))
+        for start in range(lo, hi, CHUNK_FLOOR):
+            piece = scratch[:min(hi - start, CHUNK_FLOOR)]
+            gen.standard_normal(out=piece)
+            piece *= np.sqrt(1.0 / steps)
+            yield start, start + len(piece), piece
 
 
 def _ensemble(grid: TimeGrid, buffer: Array, tag: str, seed: int) -> PathEnsemble:
@@ -196,14 +203,14 @@ def _simulate(drift, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsem
     times = grid.times
     buffer = _alloc((steps + 1, n_paths, 3))
 
-    def run_block(index, lo, hi):
-        block = _increments(seed, index, steps, np.empty((hi - lo, steps, 3)))
-        x = buffer[:, lo:hi]
-        for k in range(steps):
-            step = block[:, k]
-            if drift is not None:
-                step = drift(times[k], x[k]) * dt + step
-            x[k + 1] = x[k] + step
+    def run_block(*block):
+        for lo, hi, piece in _increments(seed, steps, [block]):
+            x = buffer[:, lo:hi]
+            for k in range(steps):
+                step = piece[:, k]
+                if drift is not None:
+                    step = drift(times[k], x[k]) * dt + step
+                x[k + 1] = x[k] + step
 
     _run_pool(run_block, _blocks(n_paths))
     return _ensemble(grid, buffer, tag, seed)
@@ -306,29 +313,21 @@ def _read_header(fh, kind: str):
     return n, steps, tag, seed, size - 36 - tag_len
 
 
-def _noise_bytes(seed: int, n_paths: int, steps: int):
-    """(first path, end path, little-endian increments) of each path block, in order."""
-    for index, lo, hi in _blocks(n_paths):
-        block = _increments(seed, index, steps, np.empty((hi - lo, steps, 3)))
-        yield lo, hi, block.astype("<f8", copy=False).tobytes()
-
-
 def dump_ensemble(ensemble: PathEnsemble, path) -> None:
     """Write the flat binary layout: magic, N, M, tag, seed, then float64 data.
 
     Header fields are little-endian 64-bit; the measure tag is stored as a
     64-bit byte length followed by its UTF-8 bytes.  Positions precede noise,
-    both path-major (N, M+1, 3) and (N, M, 3), written one path block at a
+    both path-major (N, M+1, 3) and (N, M, 3), written CHUNK_FLOOR paths at a
     time.
     """
     n, steps = ensemble.n_paths, ensemble.grid.steps
     with open(path, "wb") as fh:
         _write_header(fh, n, steps, ensemble.measure_tag, ensemble.seed)
-        for _, lo, hi in _blocks(n):
-            fh.write(np.ascontiguousarray(ensemble.positions[lo:hi],
-                                          dtype="<f8").tobytes())
-        for _, _, data in _noise_bytes(ensemble.seed, n, steps):
-            fh.write(data)
+        for _, lo, hi in _blocks(n, CHUNK_FLOOR):
+            fh.write(np.ascontiguousarray(ensemble.positions[lo:hi], dtype="<f8"))
+        for _, _, piece in _increments(ensemble.seed, steps, _blocks(n)):
+            fh.write(piece.astype("<f8", copy=False))
 
 
 def load_ensemble(path) -> PathEnsemble:
@@ -345,11 +344,11 @@ def load_ensemble(path) -> PathEnsemble:
             raise ValueError(f"ensemble file payload is {payload} bytes; "
                              f"its header implies {expected}")
         buffer = _alloc((steps + 1, n, 3))
-        for _, lo, hi in _blocks(n):
+        for _, lo, hi in _blocks(n, CHUNK_FLOOR):
             rows = np.frombuffer(fh.read((hi - lo) * (steps + 1) * 3 * 8), dtype="<f8")
             buffer[:, lo:hi] = rows.reshape(hi - lo, steps + 1, 3).transpose(1, 0, 2)
-        for lo, hi, data in _noise_bytes(seed, n, steps):
-            if fh.read(len(data)) != data:
+        for lo, hi, piece in _increments(seed, steps, _blocks(n)):
+            if fh.read(piece.nbytes) != piece.astype("<f8", copy=False).tobytes():
                 raise ValueError(f"stored noise of paths {lo}..{hi - 1} differs "
                                  f"from the increments regenerated from seed {seed}")
     return _ensemble(grid, buffer, tag, seed)

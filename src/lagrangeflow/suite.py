@@ -1,9 +1,9 @@
 """The acceptance battery: nine property checks at desk scale.
 
 Each criterion function returns a dict with a boolean "passed" and enough
-detail to diagnose a failure.  Ensembles are cached across criteria, so a
-full run simulates each (case, resolution, seed) combination once.  The
-battery is deterministic given the scale (N, M, seed, alpha).
+detail to diagnose a failure.  Each (case, resolution, seed) ensemble is
+simulated once per run and dropped after the last criterion that reads it.
+The battery is deterministic given the scale (N, M, seed, alpha).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import os
 import contextlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,18 +38,36 @@ class SuiteScale:
                 "alpha": self.alpha}
 
 
+def _reads(scale: SuiteScale) -> dict:
+    """The cache keys each criterion reads, by criterion number."""
+    n, m, seed = scale.n_paths, scale.steps, scale.seed
+    tg, lo, frozen = (("pu", name, n, m, seed) for name in
+                      ("taylor_green", "lamb_oseen", "frozen_taylor_green"))
+    return {2: [tg, lo, frozen], 3: [tg, lo, frozen],
+            4: [("wiener", n, m, seed + WIENER_SEED_OFFSET), tg, lo],
+            5: [tg], 6: [lo], 7: [lo, ("pu", "lamb_oseen", n, m // 2, seed + 71)]}
+
+
 class _EnsembleCache(dict):
+    """Ensembles for the criteria numbered in ``plan``, each forgotten after
+    its last planned read (``_reads``); a key outside the plan is not kept."""
+
+    def __init__(self, scale: SuiteScale, plan=()):
+        super().__init__()
+        self.planned = Counter(key for i in plan for key in _reads(scale).get(i, ()))
+
     def pu(self, case_name, n, m, seed):
-        key = ("pu", case_name, n, m, seed)
-        if key not in self:
-            self[key] = simulate_pu(catalog.get_case(case_name), n, m, seed)
-        return self[key]
+        return self._serve(("pu", case_name, n, m, seed))
 
     def wiener(self, n, m, seed):
-        key = ("wiener", n, m, seed)
+        return self._serve(("wiener", n, m, seed))
+
+    def _serve(self, key):
         if key not in self:
-            self[key] = simulate_wiener(n, m, seed)
-        return self[key]
+            self[key] = (simulate_wiener(*key[1:]) if key[0] == "wiener" else
+                         simulate_pu(catalog.get_case(key[1]), *key[2:]))
+        self.planned[key] -= 1
+        return self[key] if self.planned[key] > 0 else self.pop(key)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +111,7 @@ def criterion_2_el_dichotomy(scale: SuiteScale, cache: _EnsembleCache) -> dict:
         proc = el_process(catalog.get_case(name), ens)
         comp_reports = [martingale_test(proc.component(i), ens, alpha=scale.alpha)
                         for i in range(3)]
+        del ens, proc   # unreachable while the probe and the next case simulate
         passed = all(r.passed for r in comp_reports)
         probe = richardson_bias_probe(
             _el_builder(name, scale.n_paths, 0), scale.steps // 2,
@@ -137,6 +157,7 @@ def criterion_3_least_action(scale: SuiteScale, cache: _EnsembleCache) -> dict:
         agreement = []
         agree_ok = True
         fd = action_derivatives_fd(case, ens, dictionary, eps=1e-2)
+        del ens     # unreachable before the next case is simulated
         for h, a, f in zip(dictionary, report["entries"], fd):
             tol = 3.0 * float(np.hypot(a["std_error"], f.std_error)) + 1e-4
             good = abs(a["estimate"] - f.value) <= tol
@@ -160,9 +181,9 @@ def criterion_4_action_entropy(scale: SuiteScale, cache: _EnsembleCache) -> dict
     details = {}
     zero = catalog.get_case("zero_flow")
     n_small = min(scale.n_paths, 4000)
-    pu0 = simulate_pu(zero, n_small, scale.steps, scale.seed)
-    w0 = simulate_wiener(n_small, scale.steps, scale.seed + WIENER_SEED_OFFSET)
-    rep = action_entropy_identity(zero, pu0, w0)
+    rep = action_entropy_identity(
+        zero, simulate_pu(zero, n_small, scale.steps, scale.seed),
+        simulate_wiener(n_small, scale.steps, scale.seed + WIENER_SEED_OFFSET))
     zero_ok = (abs(rep["S"].value + 0.5) <= 1e-12
                and abs(rep["H"].value) <= 1e-12
                and abs(rep["ln_Zp"].value - 0.5) <= 1e-12
@@ -177,8 +198,8 @@ def criterion_4_action_entropy(scale: SuiteScale, cache: _EnsembleCache) -> dict
     wiener = cache.wiener(scale.n_paths, scale.steps, scale.seed + WIENER_SEED_OFFSET)
     for name in ("taylor_green", "lamb_oseen"):
         case = catalog.get_case(name)
-        pu = cache.pu(name, scale.n_paths, scale.steps, scale.seed)
-        rep = action_entropy_identity(case, pu, wiener)
+        rep = action_entropy_identity(
+            case, cache.pu(name, scale.n_paths, scale.steps, scale.seed), wiener)
         norm = mean_with_error(np.exp(log_density_pu(case, wiener)))
         norm_ok = abs(norm.value - 1.0) <= 3.0 * norm.std_error
         case_ok = rep["identity_holds"] and norm_ok
@@ -363,15 +384,15 @@ def run_criterion(index: int, scale: SuiteScale,
                   cache: _EnsembleCache | None = None) -> dict:
     """Run one criterion (1-based index) at the given scale."""
     if cache is None:
-        cache = _EnsembleCache()
+        cache = _EnsembleCache(scale, [index])
     return CRITERIA[index - 1](scale, cache)
 
 
 def run_suite(scale: SuiteScale | None = None, only=None) -> dict:
     """Run the battery; ``only`` restricts to a list of 1-based indices."""
     scale = scale or SuiteScale()
-    cache = _EnsembleCache()
     selected = sorted(set(only)) if only else range(1, len(CRITERIA) + 1)
+    cache = _EnsembleCache(scale, selected)
     results = [CRITERIA[i - 1](scale, cache) for i in selected]
     return {"scale": scale.to_dict(),
             "criteria": results,

@@ -1,3 +1,7 @@
+import contextlib
+import os
+from unittest import mock
+
 import pytest
 
 from lagrangeflow import get_case, simulate_pu, simulate_wiener
@@ -7,6 +11,16 @@ from lagrangeflow import get_case, simulate_pu, simulate_wiener
 N_SMALL = 4000
 M_SMALL = 100
 SEED = 11
+
+
+@contextlib.contextmanager
+def threads(value):
+    """LAGRANGEFLOW_THREADS=value with eight usable cores mocked, so every
+    thread count takes effect on any box; usable inside hypothesis tests."""
+    with mock.patch.dict(os.environ, {"LAGRANGEFLOW_THREADS": value}), \
+            mock.patch("os.sched_getaffinity", lambda pid: set(range(8)),
+                       create=True):
+        yield
 
 
 @pytest.fixture(scope="session")

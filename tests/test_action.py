@@ -1,9 +1,7 @@
-import contextlib
 import dataclasses
 import os
 import threading
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from lagrangeflow import (FlowCase, PressureField, action_derivative_analytic,
 from lagrangeflow.action import _CHECK_PATHS
 from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR
 
-from conftest import SEED
+from conftest import SEED, threads as _threads
 
 E1, E2, E3 = np.eye(3)
 
@@ -205,15 +203,6 @@ def test_least_action_scratch_is_a_few_path_arrays(tg_ensemble):
         tracemalloc.stop()
     v_bytes, gp_bytes = n * (m + 1) * 3 * 8, n * m * 3 * 8
     assert peak < v_bytes + gp_bytes + 4 * n * m * 8
-
-
-@contextlib.contextmanager
-def _threads(value):
-    # eight usable cores, so every thread count here takes effect on any box
-    with mock.patch.dict(os.environ, {"LAGRANGEFLOW_THREADS": value}), \
-            mock.patch("os.sched_getaffinity", lambda pid: set(range(8)),
-                       create=True):
-        yield
 
 
 @pytest.mark.parametrize("estimator", [least_action_check, action_derivatives_fd])

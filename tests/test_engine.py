@@ -1,16 +1,19 @@
+import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lagrangeflow import (CapacityError, TagMismatchError, TimeGrid,
                           drift_process, dump_ensemble, dump_process,
                           get_case, load_ensemble, load_process,
                           process_to_csv, simulate_pu, simulate_wiener,
                           worker_count)
-from lagrangeflow.engine import ProcessSample
+from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, ProcessSample
 
-from conftest import M_SMALL, N_SMALL, SEED
+from conftest import M_SMALL, N_SMALL, SEED, threads
 
 
 def test_time_grid():
@@ -66,6 +69,57 @@ def test_worker_count_does_not_change_results(monkeypatch):
         outputs.append(simulate_pu(case, 3 * 8192 + 17, 10, 99))
     assert np.array_equal(outputs[0].positions, outputs[1].positions)
     assert np.array_equal(outputs[0].noise, outputs[1].noise)
+
+
+def _whole_block_reference(case, n_paths, steps, seed):
+    """Positions and noise with one increments array drawn per 8192-path
+    block and each block walked whole."""
+    dt, times = 1.0 / steps, np.arange(steps + 1) / steps
+    x = np.zeros((steps + 1, n_paths, 3))
+    noise = np.empty((n_paths, steps, 3))
+    for index, lo in enumerate(range(0, n_paths, BLOCK_PATHS)):
+        hi = min(lo + BLOCK_PATHS, n_paths)
+        gen = np.random.Generator(np.random.Philox(key=[seed, index]))
+        block = np.empty((hi - lo, steps, 3))
+        gen.standard_normal(out=block)
+        block *= np.sqrt(1.0 / steps)
+        noise[lo:hi] = block
+        for k in range(steps):
+            step = block[:, k]
+            if case is not None:
+                step = -case.velocity.eval(1.0 - times[k], x[k, lo:hi]) * dt + step
+            x[k + 1, lo:hi] = x[k, lo:hi] + step
+    return x.transpose(1, 0, 2), noise
+
+
+@pytest.mark.parametrize("n", [1, CHUNK_FLOOR - 1, CHUNK_FLOOR + 1, BLOCK_PATHS - 1,
+                               BLOCK_PATHS + 1, 2 * BLOCK_PATHS + 5])
+@settings(max_examples=4, deadline=None, database=None)
+@given(name=st.sampled_from(["taylor_green", "lamb_oseen", None]),
+       steps=st.integers(2, 5), seed=st.integers(0, 2**63 - 1),
+       count=st.sampled_from(["1", "2"]))
+def test_pieces_equal_whole_block_draws(n, name, steps, seed, count):
+    case = None if name is None else get_case(name)
+    with threads(count):
+        ens = (simulate_wiener(n, steps, seed) if case is None
+               else simulate_pu(case, n, steps, seed))
+        noise = ens.noise
+    positions, want_noise = _whole_block_reference(case, n, steps, seed)
+    assert np.array_equal(ens.positions, positions)
+    assert np.array_equal(noise, want_noise)
+
+
+def test_simulation_scratch_is_one_piece(monkeypatch):
+    # increments are drawn CHUNK_FLOOR paths at a time, not a whole block
+    monkeypatch.setenv("LAGRANGEFLOW_THREADS", "1")
+    n, m = BLOCK_PATHS, 50
+    tracemalloc.start()
+    try:
+        simulate_pu(get_case("lamb_oseen"), n, m, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (m + 1) * n * 3 * 8 < 1.25 * CHUNK_FLOOR * m * 3 * 8
 
 
 def test_worker_count_capped_at_usable_cores(monkeypatch):
@@ -179,6 +233,15 @@ def test_dump_load_dump_keeps_file_bytes(tmp_path):
     dump_ensemble(ens, first)
     dump_ensemble(load_ensemble(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_dump_bytes_are_pinned(tmp_path):
+    # three pieces of one path block, the last of three paths; Wiener paths
+    # carry no transcendental drift, so the bytes do not depend on libm
+    path = tmp_path / "w.lgf"
+    dump_ensemble(simulate_wiener(2 * CHUNK_FLOOR + 3, 4, 7), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "13f38808730d6d15cff3b65cc64941de066734cedeeb91a8f7510e7e3563b9f1")
 
 
 def test_time_slices_are_contiguous(tmp_path, tg_ensemble, wiener_ensemble):
