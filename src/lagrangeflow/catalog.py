@@ -19,10 +19,11 @@ are independent checks of each other.
 
 from __future__ import annotations
 
-import threading
+import hashlib
+import io
+from pathlib import Path
 
 import numpy as np
-from scipy import integrate, interpolate, special
 
 from .fields import Array, FlowCase, PressureField, VelocityField, rotated_case
 
@@ -241,37 +242,37 @@ def _h_second(xi):
 
 
 # Radial-quadrature pressure profile: p = gamma^2 / (16 pi^2 (t + t0)) * G(xi)
-# with G(eta) = int_0^eta h(s)^2 ds.  G is case-independent, so the adaptive
-# quadrature runs once per process and is stored as a cubic spline; past the
-# spline domain the exact exponential-integral tail takes over.  The spline
-# is evaluated from its knot and coefficient tables with numpy alone, which
-# releases the interpreter lock, so path chunks on worker threads overlap.
+# with G(eta) = int_0^eta h(s)^2 ds, case-independent.  G is a cubic spline
+# through quadrature values at 2001 even knots on [0, 40]; its coefficients
+# ship as a checked table, rebuilt bit for bit in tests/test_catalog.py.  It is
+# evaluated with numpy alone, which releases the interpreter lock.  Past the
+# domain int_eta^inf h^2 = [1 - 2 E2(eta) + E2(2 eta)] / eta, and E2(eta) <=
+# E2(40) < 1e-18 rounds the bracket to exactly 1.
 _G_DOMAIN = 40.0
 _G_INF = 2.0 * np.log(2.0)
-_G_SPLINE = None
-_G_LOCK = threading.Lock()
+_G_KNOTS = np.linspace(0.0, _G_DOMAIN, 2001)
+_G_TABLE_SHA256 = "83da4b07cd37c52c4da705052a045ba77aa6fd54dd058bd590becf2186ba9f63"
 
 
-def _g_tail(eta):
-    # int_eta^inf h^2 = [1 - 2 E2(eta) + E2(2 eta)] / eta
-    return (1.0 - 2.0 * special.expn(2, eta) + special.expn(2, 2.0 * eta)) / eta
+def _load_table(path: Path = Path(__file__).with_name("pressure_profile.npy")):
+    """The (4, 2000) float64 spline coefficients at ``path``, read-only; a
+    ValueError names the file and both digests unless its sha256 matches."""
+    raw = path.read_bytes()
+    digest = hashlib.sha256(raw).hexdigest()
+    ok = digest == _G_TABLE_SHA256
+    table = np.load(io.BytesIO(raw), allow_pickle=False) if ok else None
+    if not ok or table.dtype != np.float64 or table.shape != (4, 2000):
+        raise ValueError(f"corrupt pressure profile table {path}: sha256 {digest}, "
+                         f"expected {_G_TABLE_SHA256}")
+    table.flags.writeable = False
+    return table
 
 
-def _g_spline():
-    global _G_SPLINE
-    with _G_LOCK:
-        if _G_SPLINE is None:
-            knots = np.linspace(0.0, _G_DOMAIN, 2001)
-            pieces = [0.0]
-            for a, b in zip(knots[:-1], knots[1:]):
-                val, _ = integrate.quad(lambda s: _h(s) ** 2, a, b, limit=100)
-                pieces.append(val)
-            _G_SPLINE = interpolate.CubicSpline(knots, np.cumsum(pieces))
-    return _G_SPLINE
+_G_TABLE = _load_table()
 
 
-def _spline_eval(spline, eta):
-    """spline(eta) for eta in its domain, bit for bit what scipy computes.
+def _spline_eval(eta):
+    """The pressure spline at eta in [0, 40], bit for bit what scipy computes.
 
     Same interval (x[i] <= eta < x[i+1], the last knot in the last piece)
     and the same power-form sum c3 + c2 s + c1 s^2 + c0 s^3, added in that
@@ -280,7 +281,7 @@ def _spline_eval(spline, eta):
     bounding knot settles which; that is several times cheaper than a binary
     search.
     """
-    x, c = spline.x, spline.c
+    x, c = _G_KNOTS, _G_TABLE
     last = len(x) - 2
     i = np.clip((eta * (last + 1) / x[-1]).astype(np.intp), 0, last)
     i -= eta < x[i]
@@ -295,12 +296,11 @@ def _G(eta):
     eta = np.asarray(eta, dtype=float)
     scalar = eta.ndim == 0
     eta = np.atleast_1d(eta)
-    spline = _g_spline()
     inside = eta <= _G_DOMAIN
     out = np.empty_like(eta)
-    out[inside] = _spline_eval(spline, eta[inside])
+    out[inside] = _spline_eval(eta[inside])
     if not inside.all():
-        out[~inside] = _G_INF - _g_tail(eta[~inside])
+        out[~inside] = _G_INF - 1.0 / eta[~inside]
     return out[0] if scalar else out
 
 

@@ -174,7 +174,7 @@ def _increments(seed: int, steps: int, blocks):
     block draws its pieces in order, which gives the numbers of one draw of the
     whole block.  Each piece is overwritten by the next one."""
     for index, lo, hi in blocks:
-        gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, index]))
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], np.uint64)))
         scratch = np.empty((min(hi - lo, CHUNK_FLOOR), steps, 3))
         for start in range(lo, hi, CHUNK_FLOOR):
             piece = scratch[:min(hi - start, CHUNK_FLOOR)]

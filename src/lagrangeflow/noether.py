@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import PathEnsemble, ProcessSample, along_paths, drift_process
+from .engine import (PathEnsemble, ProcessSample, along_paths, drift_process,
+                     pu_tag, require_tag)
 from .fields import Array, FlowCase
 from .catalog import probe_grid
 
@@ -113,20 +114,19 @@ def noether_process_general(case: FlowCase, ensemble: PathEnsemble,
     usable for any generator; the closed-form rotation process is its
     analytic oracle.
     """
-    grid = ensemble.grid
-    times = grid.times
-    x = ensemble.positions
-    v = drift_process(case, ensemble).values
-    xi_vals = np.empty_like(v)
-    for k in range(grid.steps + 1):
-        xi_vals[:, k] = gen.xi(times[k], x[:, k])
-
-    pair = (xi_vals * v).sum(axis=-1)
-    bracket = np.zeros_like(pair)
-    prods = (np.diff(xi_vals, axis=1) * np.diff(v, axis=1)).sum(axis=-1)
-    np.cumsum(prods, axis=1, out=bracket[:, 1:])
-
-    return ProcessSample(grid, pair - bracket, f"noether({gen.name},{case.name})")
+    require_tag(ensemble, pu_tag(case))
+    grid, x = ensemble.grid, ensemble.positions
+    values = np.empty(x.shape[:2])
+    bracket = 0.0
+    for k, t in enumerate(grid.times):     # one time slice at a time
+        v = -case.velocity.eval(1.0 - t, x[:, k])
+        xi = gen.xi(t, x[:, k])
+        if k:
+            prod = ((xi - xi_prev) * (v - v_prev)).sum(axis=-1)
+            bracket = prod if k == 1 else bracket + prod    # cumsum's order
+        values[:, k] = (xi * v).sum(axis=-1) - bracket
+        xi_prev, v_prev = xi, v
+    return ProcessSample(grid, values, f"noether({gen.name},{case.name})")
 
 
 def noether_rotation_closed_form(case: FlowCase, ensemble: PathEnsemble,

@@ -1,11 +1,37 @@
+import functools
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, interpolate, special
 
+import lagrangeflow
 from lagrangeflow import (case_names, fd_residual_oracle, get_case,
                           make_lamb_oseen, make_zero_flow, ns_residual,
                           probe_grid, probe_residuals)
-from lagrangeflow.catalog import _G, _g_spline
+from lagrangeflow.catalog import _G, _G_TABLE, _h, _load_table
+
+TABLE = Path(lagrangeflow.__file__).with_name("pressure_profile.npy")
+
+
+@functools.cache
+def pressure_spline():
+    """The recipe of the committed table pressure_profile.npy, which was made
+    with scipy 1.17.1: G(eta) = int_0^eta h(s)^2 ds by adaptive quadrature on
+    each of the 2000 intervals between 2001 even knots on [0, 40], summed and
+    interpolated by a not-a-knot cubic spline.  To remake the table, save
+    np.ascontiguousarray(pressure_spline().c) with np.save(..., allow_pickle=False)
+    and put the file's sha256 in catalog._G_TABLE_SHA256."""
+    knots = np.linspace(0.0, 40.0, 2001)
+    pieces = [0.0]
+    for a, b in zip(knots[:-1], knots[1:]):
+        val, _ = integrate.quad(lambda s: _h(s) ** 2, a, b, limit=100)
+        pieces.append(val)
+    return interpolate.CubicSpline(knots, np.cumsum(pieces))
 
 
 ALL_CASES = case_names()
@@ -158,10 +184,10 @@ class TestLambOseen:
         assert np.abs(_G(eta) - closed).max() <= 1e-8
 
     def test_pressure_profile_is_the_spline_bit_for_bit(self):
-        # _G evaluates the spline from its tables with numpy alone; it must
-        # reproduce scipy's evaluation exactly, at every knot, on both float
-        # neighbours of every knot and at the domain ends
-        spline = _g_spline()
+        # _G evaluates the spline from the committed table with numpy alone;
+        # it must reproduce scipy's evaluation exactly, at every knot, on both
+        # float neighbours of every knot and at the domain ends
+        spline = pressure_spline()
         knots = spline.x
         eta = np.concatenate([knots, np.nextafter(knots, -np.inf),
                               np.nextafter(knots, np.inf), [0.0, 40.0],
@@ -170,10 +196,33 @@ class TestLambOseen:
         assert np.array_equal(_G(eta).view(np.int64), spline(eta).view(np.int64))
         assert _G(0.0) == spline(0.0) and _G(40.0) == spline(40.0)
         # past the spline domain the exponential-integral tail takes over
-        past = np.array([np.nextafter(40.0, np.inf), 41.0, 1e3])
-        tail = 2 * np.log(2) - (1 - 2 * special.expn(2, past)
-                                + special.expn(2, 2 * past)) / past
+        past = np.array([np.nextafter(40.0, np.inf), 41.0, 1e3, 1e300, np.inf])
+        with np.errstate(all="ignore"):
+            tail = 2 * np.log(2) - (1 - 2 * special.expn(2, past)
+                                    + special.expn(2, 2 * past)) / past
         assert np.array_equal(_G(past), tail)
+
+    def test_committed_table_is_the_quadrature_spline(self):
+        assert np.array_equal(_G_TABLE.view(np.int64),
+                              pressure_spline().c.view(np.int64))
+        assert _G_TABLE.dtype == np.float64 and _G_TABLE.shape == (4, 2000)
+        assert not _G_TABLE.flags.writeable
+
+    def test_table_loader_rejects_a_changed_copy(self, tmp_path):
+        raw = TABLE.read_bytes()
+        assert np.array_equal(_load_table(TABLE), _G_TABLE)
+        flipped = bytearray(raw)
+        flipped[len(raw) // 2] ^= 0x01        # one bit of one coefficient
+        (tmp_path / "flipped.npy").write_bytes(bytes(flipped))
+        np.save(tmp_path / "short.npy", np.asarray(_G_TABLE)[:, :1999])
+        for name in ("flipped.npy", "short.npy"):
+            path = tmp_path / name
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            with pytest.raises(ValueError) as err:
+                _load_table(path)
+            message = str(err.value)
+            assert str(path) in message and digest in message
+            assert hashlib.sha256(raw).hexdigest() in message
 
     def test_pressure_gradient_matches_fd_of_value(self):
         case = get_case("lamb_oseen")
@@ -207,3 +256,14 @@ def test_rotated_variant_varies_along_e3():
     speed = np.linalg.norm(case.velocity.eval(0.2, x))
     assert speed == pytest.approx(
         np.linalg.norm(base.velocity.eval(0.2, x @ perm)), abs=1e-14)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the runtime package needs numpy only; scipy is a test dependency
+    src = str(Path(lagrangeflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, lagrangeflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

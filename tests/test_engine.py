@@ -1,6 +1,7 @@
 import hashlib
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def _whole_block_reference(case, n_paths, steps, seed):
     noise = np.empty((n_paths, steps, 3))
     for index, lo in enumerate(range(0, n_paths, BLOCK_PATHS)):
         hi = min(lo + BLOCK_PATHS, n_paths)
-        gen = np.random.Generator(np.random.Philox(key=[seed, index]))
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], np.uint64)))
         block = np.empty((hi - lo, steps, 3))
         gen.standard_normal(out=block)
         block *= np.sqrt(1.0 / steps)
@@ -96,7 +97,7 @@ def _whole_block_reference(case, n_paths, steps, seed):
                                BLOCK_PATHS + 1, 2 * BLOCK_PATHS + 5])
 @settings(max_examples=4, deadline=None, database=None)
 @given(name=st.sampled_from(["taylor_green", "lamb_oseen", None]),
-       steps=st.integers(2, 5), seed=st.integers(0, 2**63 - 1),
+       steps=st.integers(2, 5), seed=st.integers(0, 2**64 - 1),
        count=st.sampled_from(["1", "2"]))
 def test_pieces_equal_whole_block_draws(n, name, steps, seed, count):
     case = None if name is None else get_case(name)
@@ -212,6 +213,22 @@ def test_simulation_preconditions():
     # the Philox key and the LGF1 header hold 64 bits; 2**64 would alias 0
     with pytest.raises(ValueError):
         simulate_pu(case, 10, 10, 2**64)
+
+
+def test_seeds_in_the_top_half_keep_their_own_streams():
+    # the key is two uint64 words; a Python list would pass the seed through
+    # float64 from 2**63 on, so neighbouring seeds shared one stream
+    a, b = (simulate_wiener(10, 3, 2**63 + i).positions for i in (4, 5))
+    assert not np.array_equal(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = simulate_wiener(10, 3, 2**64 - 1)
+    assert np.all(np.isfinite(top.positions))
+    # below 2**63 the streams are the ones a list key [seed, block] gives
+    for seed in (0, 7, 2**62, 2**63 - 1):
+        gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+        want = gen.standard_normal((10, 3, 3)) * np.sqrt(1.0 / 3)
+        assert np.array_equal(simulate_wiener(10, 3, seed).noise, want)
 
 
 def test_ensemble_dump_round_trip(tmp_path, tg_ensemble):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,20 @@ class TestNoetherProcesses:
         proc = noether_process_general(case, tg_ensemble, TRANSLATION_E3)
         v3 = drift_process(case, tg_ensemble).values[:, :, 2]
         assert np.array_equal(proc.values, v3)
+
+    def test_general_process_scratch_is_one_time_slice(self):
+        # the bracket is built one time slice at a time: beyond its (N, M+1)
+        # output the builder holds a few (N, 3) slices, not (N, M+1, 3) arrays
+        case = get_case("lamb_oseen")
+        n, m = 4096, 50
+        ens = simulate_pu(case, n, m, SEED)
+        tracemalloc.start()
+        try:
+            noether_process_general(case, ens, ROTATION_E3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (m + 1) * 8 + 20 * n * 3 * 8
 
     def test_zero_generator_gives_zero_process(self, tg_ensemble):
         zero_gen = GeneratorField("null", lambda t, x: np.zeros_like(x),
