@@ -22,12 +22,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import CHUNK_FLOOR, PathEnsemble, pu_tag, require_tag, run_chunks
+from .engine import (CHUNK_FLOOR, PIECE_PATHS, PathEnsemble, TimeGrid, pu_tag,
+                     require_tag, run_chunks, walk_pieces)
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_error
 
 _EPS_RANGE = (1e-4, 1e-1)
-_CHECK_PATHS = 1024     # paths per analytic sub-block, whose scratch is O(M) per path
+_CHECK_PATHS = PIECE_PATHS  # paths per analytic sub-block, whose scratch is O(M) per path
 
 
 @dataclass(frozen=True)
@@ -137,47 +138,114 @@ def stochastic_action(case: FlowCase, ensemble: PathEnsemble) -> EstimateWithErr
 
 def _per_path_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list,
                     kernel, size: int = CHUNK_FLOOR) -> Array:
-    """(J, N) per-path values, one row per probe, from kernel(rows, profiles, out)
-    on the ensemble cut to blocks of at most ``size`` paths, on the worker
-    threads; out is the block's (J, B) slice, and no entry depends on its block.
+    """(J, N) per-path values, one row per probe, from kernel(rows, v, profiles,
+    out) on the ensemble cut to blocks of at most ``size`` paths, on the worker
+    threads; v is the block's drift -u(1 - t_k, X_k) for k < M, (B, M, 3), and
+    out the block's (J, B) slice.  No entry depends on its block.
     """
     require_tag(ensemble, pu_tag(case))
+    u, times, m = case.velocity.eval, ensemble.grid.times, ensemble.grid.steps
     table = np.empty((len(dictionary), ensemble.n_paths))
 
     def chunk(lo, hi):
         for a in range(lo, hi, size):
             b = min(a + size, hi)
             rows = replace(ensemble, positions=ensemble.positions[a:b])
-            kernel(rows, [h.profile(rows) for h in dictionary], table[:, a:b])
+            v = np.empty((b - a, m, 3))
+            for k in range(m):
+                v[:, k] = u(1.0 - times[k], rows.positions[:, k])
+            np.negative(v, out=v)
+            kernel(rows, v, [h.profile(rows) for h in dictionary], table[:, a:b])
 
     run_chunks(ensemble.n_paths, chunk)
     return table
 
 
-def _analytic_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list) -> Array:
-    """Per-path sum_k (<v_k, hdot_k> - <grad p(1 - t_k, X_k), h_k>) dt, (J, N).
+def _analytic_kernel(case: FlowCase, grid: TimeGrid):
+    """kernel(rows, v, profiles, out): per-path sum_k (<v_k, hdot_k>
+    - <grad p(1 - t_k, X_k), h_k>) dt of a path block into out, (J, B).
 
-    A block holds v and grad p for k < M, (B, M, 3) each, and a few (B, M)
-    arrays.  Inner products add components from zero in order, as
-    ``.sum(axis=-1)`` does, and each contiguous integrand row is summed whole.
+    The block adds grad p for k < M, the shape of v, and a few (B, M) arrays.
+    Inner products add components from zero in order, as ``.sum(axis=-1)``
+    does, and each contiguous integrand row is summed whole.
     """
-    u, grad_p = case.velocity.eval, case.pressure.gradient
-    times, m, dt = ensemble.grid.times, ensemble.grid.steps, ensemble.grid.dt
+    grad_p, times, m, dt = case.pressure.gradient, grid.times, grid.steps, grid.dt
 
-    def kernel(rows, profiles, out):
-        v, gp = np.empty((2, rows.n_paths, m, 3))
+    def kernel(rows, v, profiles, out):
+        gp = np.empty_like(v)
         for k in range(m):
-            v[:, k] = u(1.0 - times[k], rows.positions[:, k])
             gp[:, k] = grad_p(1.0 - times[k], rows.positions[:, k])
-        np.negative(v, out=v)
         for (base, dbase, weight), row in zip(profiles, out):
             kinetic, potential = np.zeros((2, rows.n_paths, m))
             for j in range(3):
+                if not weight[:, j].any():
+                    # the terms are +-0, and adding them to sums that start
+                    # at +0 leaves every bit as it is
+                    continue
                 kinetic += v[..., j] * (dbase[:m] * weight[:, j, None])
                 potential += gp[..., j] * (base[:m] * weight[:, j, None])
             np.multiply((kinetic - potential).sum(axis=1), dt, out=row)
 
-    return _per_path_table(case, ensemble, dictionary, kernel, _CHECK_PATHS)
+    return kernel
+
+
+def _fd_kernel(case: FlowCase, grid: TimeGrid, eps: float):
+    """kernel(rows, v, profiles, out): per-path central difference of the
+    pushforward action of a path block into out, (J, B).
+
+    The path map omega -> omega + eps*h moves positions to X + eps*h and the
+    drift process to v + eps*hdot.  The block stacks the shifted drifts and
+    positions of every probe and sign in two (2J, B, 3) arrays, so one p call
+    per step serves them all, and adds each path's terms in increasing k.  p
+    is evaluated afresh at every shifted position: this is the independent
+    check on the analytic derivative and reads nothing from it.
+    """
+    if not _EPS_RANGE[0] <= eps <= _EPS_RANGE[1]:
+        raise ValueError(f"eps must lie in {_EPS_RANGE}")
+    p, times, m, dt = case.pressure.eval, grid.times, grid.steps, grid.dt
+    shifts = np.array([eps, -eps])[:, None, None]
+
+    def kernel(rows, v, profiles, out):
+        x, b, probes = rows.positions, rows.n_paths, len(profiles)
+        base, dbase = np.array([prof[:2] for prof in profiles]).swapaxes(0, 1)
+        weight = np.array([np.broadcast_to(w, (b, 3)) for _, _, w in profiles])
+        h_k = np.empty_like(weight)
+        xs, vs = np.empty((2, probes, 2, b, 3))
+        acc = np.zeros((probes * 2, b))
+        term, square = np.empty((2, probes * 2, b))
+        for k in range(m):
+            # each (probe, sign) row takes shift * hdot_k + v_k and
+            # shift * h_k + x_k: the operations of one probe at a time
+            np.multiply(dbase[:, k, None, None], weight, out=h_k)
+            np.multiply(h_k[:, None], shifts, out=vs)
+            vs += np.ascontiguousarray(v[:, k])    # one gather, not one per row
+            np.multiply(base[:, k, None, None], weight, out=h_k)
+            np.multiply(h_k[:, None], shifts, out=xs)
+            xs += x[:, k]
+            vk = vs.reshape(probes * 2, b, 3)
+            # |vs|^2 / 2 - p, |vs|^2 summed in the order .sum(axis=-1) uses
+            np.square(vk[..., 0], out=term)
+            term += np.square(vk[..., 1], out=square)
+            term += np.square(vk[..., 2], out=square)
+            term *= 0.5
+            term -= p(1.0 - times[k], xs.reshape(probes * 2, b, 3))
+            acc += term
+        out[:] = (acc[0::2] * dt - acc[1::2] * dt) / (2.0 * eps)
+
+    return kernel
+
+
+def _analytic_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list) -> Array:
+    """Per-path sum_k (<v_k, hdot_k> - <grad p(1 - t_k, X_k), h_k>) dt, (J, N)."""
+    return _per_path_table(case, ensemble, dictionary,
+                           _analytic_kernel(case, ensemble.grid), _CHECK_PATHS)
+
+
+def _fd_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list,
+              eps: float) -> Array:
+    """Per-path central differences of the pushforward action, (J, N)."""
+    return _per_path_table(case, ensemble, dictionary,
+                           _fd_kernel(case, ensemble.grid, eps))
 
 
 def action_derivative_analytic(case: FlowCase, ensemble: PathEnsemble,
@@ -190,46 +258,11 @@ def action_derivatives_fd(case: FlowCase, ensemble: PathEnsemble, dictionary: li
                           eps: float = 1e-2) -> list:
     """Central-difference derivatives of the pushforward action, one per probe.
 
-    The path map omega -> omega + eps*h moves positions to X + eps*h and the
-    drift process to v + eps*hdot; the difference quotient uses common random
-    numbers, so only the genuinely nonlinear (pressure) part contributes
-    O(eps^2) error.  A path block stacks the shifted drifts and positions of
-    every probe and sign in two (2J, B, 3) arrays, so one u and one p call per
-    step serve them all, and adds each path's terms in increasing k.  p is
-    evaluated afresh at every shifted position: this is the independent check
-    on the analytic derivative and reads nothing from it.
+    The difference quotient uses common random numbers, so only the genuinely
+    nonlinear (pressure) part contributes O(eps^2) error.  Each path point
+    sees u once, and p once per probe and sign.
     """
-    if not _EPS_RANGE[0] <= eps <= _EPS_RANGE[1]:
-        raise ValueError(f"eps must lie in {_EPS_RANGE}")
-    u, p = case.velocity.eval, case.pressure.eval
-    times, m, dt = ensemble.grid.times, ensemble.grid.steps, ensemble.grid.dt
-    shifts = np.array([eps, -eps])[:, None, None]
-
-    def kernel(rows, profiles, out):
-        x, b, probes = rows.positions, rows.n_paths, len(profiles)
-        base, dbase = np.array([prof[:2] for prof in profiles]).swapaxes(0, 1)
-        weight = np.array([np.broadcast_to(w, (b, 3)) for _, _, w in profiles])
-        h_k = np.empty_like(weight)
-        xs, vs = np.empty((2, probes, 2, b, 3))
-        acc = np.zeros((probes * 2, b))
-        for k in range(m):
-            t_rev = 1.0 - times[k]
-            # each (probe, sign) row takes shift * hdot_k + v_k, with v_k = -u,
-            # and shift * h_k + x_k: the operations of one probe at a time
-            np.multiply(dbase[:, k, None, None], weight, out=h_k)
-            np.multiply(h_k[:, None], shifts, out=vs)
-            vs -= u(t_rev, x[:, k])
-            np.multiply(base[:, k, None, None], weight, out=h_k)
-            np.multiply(h_k[:, None], shifts, out=xs)
-            xs += x[:, k]
-            v = vs.reshape(probes * 2, b, 3)
-            # |vs|^2 summed in the order .sum(axis=-1) uses, without its overhead
-            acc += (0.5 * (v[..., 0]**2 + v[..., 1]**2 + v[..., 2]**2)
-                    - p(t_rev, xs.reshape(probes * 2, b, 3)))
-        out[:] = (acc[0::2] * dt - acc[1::2] * dt) / (2.0 * eps)
-
-    table = _per_path_table(case, ensemble, dictionary, kernel)
-    return [mean_with_error(row) for row in table]
+    return [mean_with_error(row) for row in _fd_table(case, ensemble, dictionary, eps)]
 
 
 def action_derivative_fd(case: FlowCase, ensemble: PathEnsemble,
@@ -238,21 +271,40 @@ def action_derivative_fd(case: FlowCase, ensemble: PathEnsemble,
     return action_derivatives_fd(case, ensemble, [h], eps)[0]
 
 
-def least_action_check(case: FlowCase, ensemble: PathEnsemble,
-                       dictionary: Optional[list] = None,
-                       alpha: float = 0.01) -> dict:
-    """Criticality verdict over a perturbation dictionary.
+def criticality_tables(case: FlowCase, n_paths: int, steps: int, seed: int,
+                       dictionary: list, eps: float = 1e-2):
+    """The analytic and finite-difference (J, N) tables of ``_analytic_table``
+    and ``_fd_table`` on ``simulate_pu(case, n_paths, steps, seed)``, without
+    the ensemble.
 
-    Each entry contributes z = estimate / SE; the verdict is "critical" iff
-    max |z| stays under the two-sided Bonferroni quantile at level alpha.
+    Each simulated piece goes through both kernels with the drift the
+    simulation computed, so u is evaluated once per path point; the FD kernel
+    still evaluates p at its own shifted points.
     """
-    entries = dictionary if dictionary is not None else default_dictionary()
+    grid = TimeGrid(steps)
+    analytic, fd = _analytic_kernel(case, grid), _fd_kernel(case, grid, eps)
+    tables = np.empty((2, len(dictionary), n_paths))
+    tag = pu_tag(case)
+
+    def visit(lo, x, v):
+        rows = PathEnsemble(grid, x.transpose(1, 0, 2), tag, seed)
+        profiles = [h.profile(rows) for h in dictionary]
+        hi = lo + rows.n_paths
+        analytic(rows, v, profiles, tables[0, :, lo:hi])
+        fd(rows, v, profiles, tables[1, :, lo:hi])
+
+    walk_pieces(case, n_paths, steps, seed, visit)
+    return tables[0], tables[1]
+
+
+def criticality_report(entries: list, table: Array, alpha: float = 0.01) -> dict:
+    """The ``least_action_check`` verdict from the (J, N) analytic table."""
     if not entries:
         raise ValueError("dictionary must be non-empty")
-    if ensemble.n_paths < 2:
+    if table.shape[1] < 2:
         raise ValueError("least_action_check needs N >= 2 paths for a standard error")
     rows = []
-    for h, per_path in zip(entries, _analytic_table(case, ensemble, entries)):
+    for h, per_path in zip(entries, table):
         est = mean_with_error(per_path)
         if est.std_error > 0:
             z = est.value / est.std_error
@@ -264,3 +316,15 @@ def least_action_check(case: FlowCase, ensemble: PathEnsemble,
     threshold = NormalDist().inv_cdf(1.0 - alpha / (2.0 * len(rows)))
     return {"entries": rows, "max_abs_z": max_abs_z, "threshold": threshold,
             "verdict": "critical" if max_abs_z <= threshold else "not critical"}
+
+
+def least_action_check(case: FlowCase, ensemble: PathEnsemble,
+                       dictionary: Optional[list] = None,
+                       alpha: float = 0.01) -> dict:
+    """Criticality verdict over a perturbation dictionary.
+
+    Each entry contributes z = estimate / SE; the verdict is "critical" iff
+    max |z| stays under the two-sided Bonferroni quantile at level alpha.
+    """
+    entries = dictionary if dictionary is not None else default_dictionary()
+    return criticality_report(entries, _analytic_table(case, ensemble, entries), alpha)

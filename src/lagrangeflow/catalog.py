@@ -297,9 +297,11 @@ def _G(eta):
     scalar = eta.ndim == 0
     eta = np.atleast_1d(eta)
     inside = eta <= _G_DOMAIN
-    out = np.empty_like(eta)
-    out[inside] = _spline_eval(eta[inside])
-    if not inside.all():
+    if inside.all():        # the usual case: no gather or scatter through the mask
+        out = _spline_eval(eta)
+    else:
+        out = np.empty_like(eta)
+        out[inside] = _spline_eval(eta[inside])
         out[~inside] = _G_INF - 1.0 / eta[~inside]
     return out[0] if scalar else out
 

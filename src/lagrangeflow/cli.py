@@ -18,6 +18,7 @@ Exit codes partition the failure classes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -292,6 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: building one costs about 2 ms, and parsing
+    leaves it as it was."""
+    return build_parser()
+
+
 def _emit(report: dict, out: Optional[str]) -> None:
     text = json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1)
     if out:
@@ -311,7 +319,7 @@ def _table(results: dict, stream) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = _resolve_config(args)
         results, code = _COMMANDS[args.command][0](cfg)
     except (UsageError, ConfigError) as err:

@@ -7,8 +7,11 @@ Wiener measure the drift is zero.  Gaussian increments are drawn from a
 counter-based Philox stream keyed by (seed, path block), with a fixed block
 size, so every increment is a pure function of (seed, n, k): regenerating
 with the same arguments is bit-exact and independent of how many workers run
-the blocks.  Ensembles therefore store only their positions, time-major, and
-redraw the increments whenever they are asked for.
+the blocks.  Workers draw a block's increments in fixed pieces, in order,
+and walk each piece on its own; ``walk_pieces`` hands every walked piece, with
+the drift it used, to a visitor, so an estimator can read the paths without
+an ensemble.  Ensembles store only their positions, time-major, and redraw
+the increments whenever they are asked for.
 
 Novikov's condition holds automatically for the bounded catalog fields, so
 the change-of-measure density is a true martingale; nothing is checked at
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,6 +34,7 @@ _MAGIC = b"LGF1"
 _MASK64 = (1 << 64) - 1
 BLOCK_PATHS = 8192          # fixed; never derived from the worker count
 CHUNK_FLOOR = 2048          # paths per block of run_chunks, fixed likewise
+PIECE_PATHS = 1024          # paths per simulation piece, fixed likewise
 
 WIENER_TAG = "wiener"
 WIENER_SEED_OFFSET = 1      # a drifted ensemble's Wiener companion uses seed + 1
@@ -168,28 +173,31 @@ def run_chunks(n_paths: int, fn) -> None:
     _run_pool(lambda _, lo, hi: fn(lo, hi), _blocks(n_paths, CHUNK_FLOOR))
 
 
+def _philox(seed: int, index: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], np.uint64)))
+
+
+def _draw(gen: np.random.Generator, piece: Array) -> Array:
+    """Fill piece, (P, M, 3), with the generator's next scaled increments."""
+    gen.standard_normal(out=piece)
+    piece *= np.sqrt(1.0 / piece.shape[1])
+    return piece
+
+
 def _increments(seed: int, steps: int, blocks):
     """Yield (first path, end path, scaled increments) of the (index, first,
-    end) path blocks, CHUNK_FLOOR paths at a time.  One Philox generator per
+    end) path blocks, PIECE_PATHS paths at a time.  One Philox generator per
     block draws its pieces in order, which gives the numbers of one draw of the
     whole block.  Each piece is overwritten by the next one."""
     for index, lo, hi in blocks:
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], np.uint64)))
-        scratch = np.empty((min(hi - lo, CHUNK_FLOOR), steps, 3))
-        for start in range(lo, hi, CHUNK_FLOOR):
-            piece = scratch[:min(hi - start, CHUNK_FLOOR)]
-            gen.standard_normal(out=piece)
-            piece *= np.sqrt(1.0 / steps)
+        gen = _philox(seed, index)
+        scratch = np.empty((min(hi - lo, PIECE_PATHS), steps, 3))
+        for start in range(lo, hi, PIECE_PATHS):
+            piece = _draw(gen, scratch[:min(hi - start, PIECE_PATHS)])
             yield start, start + len(piece), piece
 
 
-def _ensemble(grid: TimeGrid, buffer: Array, tag: str, seed: int) -> PathEnsemble:
-    """Freeze a time-major (M+1, N, 3) buffer and wrap its (N, M+1, 3) view."""
-    buffer.flags.writeable = False
-    return PathEnsemble(grid, buffer.transpose(1, 0, 2), tag, seed)
-
-
-def _simulate(drift, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsemble:
+def _check_scale(n_paths: int, steps: int, seed: int) -> None:
     if n_paths < 1:
         raise ValueError("N must be >= 1")
     if steps < 2:
@@ -198,22 +206,73 @@ def _simulate(drift, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsem
         raise ValueError("seed must be >= 0")
     if seed > _MASK64:
         raise ValueError("seed must be < 2**64")
+
+
+def walk_pieces(case, n_paths: int, steps: int, seed: int, visit) -> None:
+    """Simulate the ensemble of ``simulate_pu(case, ...)`` (``simulate_wiener``
+    for case None) piece by piece, and call visit(lo, x, v) on each piece.
+
+    Up to one worker per CHUNK_FLOOR paths runs, as in run_chunks: a second
+    worker does not pay for less.  A worker claims the next piece of
+    PIECE_PATHS paths of an 8192-path block and draws its increments under
+    that block's lock, so the block's Philox generator yields them in piece
+    order and every increment is the one a whole-block draw gives.  It walks
+    the piece unlocked; each step writes the drift v_k = -u(1 - t_k,
+    X_k) it used into the increment slot it just consumed.  x is the piece's
+    time-major (M+1, P, 3) positions of paths lo to lo + P - 1, and v its
+    (P, M, 3) drifts for k < M (None without a case).  Both are the worker's
+    scratch, overwritten by its next piece, and visit runs on the worker
+    threads.
+    """
+    _check_scale(n_paths, steps, seed)
     grid = TimeGrid(steps)
-    dt = grid.dt
-    times = grid.times
+    times, dt = grid.times, grid.dt
+    u = None if case is None else case.velocity.eval
+    queues = [(threading.Lock(), _philox(seed, index), iter(range(lo, hi, PIECE_PATHS)), hi)
+              for index, lo, hi in _blocks(n_paths)]
+    rows = min(n_paths, PIECE_PATHS)
+    # each worker's noise and positions (x[0] stays at the origin) come from
+    # this thread: freed memory a worker thread allocated stays in its malloc
+    # arena (13 MB more resident after desk criterion 3)
+    scratch = [(np.empty((rows, steps, 3)), np.zeros((steps + 1, rows, 3)))
+               for _ in range(min(worker_count(), -(-n_paths // CHUNK_FLOOR)))]
+
+    def worker(noise, x):
+        for lock, gen, starts, end in queues:
+            while True:
+                with lock:
+                    lo = next(starts, None)
+                    if lo is None:
+                        break
+                    piece = _draw(gen, noise[:min(end - lo, PIECE_PATHS)])
+                b = len(piece)
+                for k in range(steps):
+                    step = piece[:, k]
+                    if u is not None:
+                        v = -u(1.0 - times[k], x[k, :b])
+                        step = v * dt + step
+                        piece[:, k] = v
+                    np.add(x[k, :b], step, out=x[k + 1, :b])
+                visit(lo, x[:, :b], None if u is None else piece)
+
+    _run_pool(worker, scratch)
+
+
+def _ensemble(grid: TimeGrid, buffer: Array, tag: str, seed: int) -> PathEnsemble:
+    """Freeze a time-major (M+1, N, 3) buffer and wrap its (N, M+1, 3) view."""
+    buffer.flags.writeable = False
+    return PathEnsemble(grid, buffer.transpose(1, 0, 2), tag, seed)
+
+
+def _simulate(case, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsemble:
+    _check_scale(n_paths, steps, seed)
     buffer = _alloc((steps + 1, n_paths, 3))
 
-    def run_block(*block):
-        for lo, hi, piece in _increments(seed, steps, [block]):
-            x = buffer[:, lo:hi]
-            for k in range(steps):
-                step = piece[:, k]
-                if drift is not None:
-                    step = drift(times[k], x[k]) * dt + step
-                x[k + 1] = x[k] + step
+    def copy(lo, x, v):
+        buffer[:, lo:lo + x.shape[1]] = x
 
-    _run_pool(run_block, _blocks(n_paths))
-    return _ensemble(grid, buffer, tag, seed)
+    walk_pieces(case, n_paths, steps, seed, copy)
+    return _ensemble(TimeGrid(steps), buffer, tag, seed)
 
 
 def pu_tag(case: FlowCase) -> str:
@@ -222,12 +281,7 @@ def pu_tag(case: FlowCase) -> str:
 
 def simulate_pu(case: FlowCase, n_paths: int, steps: int, seed: int) -> PathEnsemble:
     """Euler-Maruyama ensemble with drift -u(1 - t, x) and unit dispersion."""
-    u = case.velocity.eval
-
-    def drift(t, x):
-        return -u(1.0 - t, x)
-
-    return _simulate(drift, n_paths, steps, seed, pu_tag(case))
+    return _simulate(case, n_paths, steps, seed, pu_tag(case))
 
 
 def simulate_wiener(n_paths: int, steps: int, seed: int) -> PathEnsemble:
@@ -248,20 +302,7 @@ def require_same_grid(a, b) -> None:
 
 # ---------------------------------------------------------------------------
 # Every estimator reads fields at reversed time and left points, f(1 - t_k,
-# X_k); these two helpers are the only step-by-step walks over an ensemble.
-# left_point_sum keeps O(N) memory, and both run k in increasing order.
-
-def along_paths(fn, ensemble: PathEnsemble, steps: int) -> Array:
-    """fn(1 - t_k, X_k) for k = 0..steps-1, stacked on axis 1: (N, steps[, d])."""
-    times = ensemble.grid.times
-    x = ensemble.positions
-    first = fn(1.0 - times[0], x[:, 0])
-    out = np.empty((first.shape[0], steps) + first.shape[1:])
-    out[:, 0] = first
-    for k in range(1, steps):
-        out[:, k] = fn(1.0 - times[k], x[:, k])
-    return out
-
+# X_k), in increasing k; left_point_sum keeps O(N) memory.
 
 def left_point_sum(term, ensemble: PathEnsemble) -> Array:
     """Per-path sum over k = 0..M-1 of term(1 - t_k, X_k, X_{k+1} - X_k).
@@ -283,8 +324,10 @@ def drift_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
     Lagrangian, since dL/dv = v.
     """
     require_tag(ensemble, pu_tag(case))
-    values = along_paths(case.velocity.eval, ensemble, ensemble.grid.steps + 1)
-    np.negative(values, out=values)
+    x = ensemble.positions
+    values = np.empty(x.shape)
+    for k, t in enumerate(ensemble.grid.times):
+        np.negative(case.velocity.eval(1.0 - t, x[:, k]), out=values[:, k])
     return ProcessSample(ensemble.grid, values, f"drift({case.name})")
 
 

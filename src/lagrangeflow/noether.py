@@ -29,8 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import (PathEnsemble, ProcessSample, along_paths, drift_process,
-                     pu_tag, require_tag)
+from .engine import PathEnsemble, ProcessSample, pu_tag, require_tag
 from .fields import Array, FlowCase
 from .catalog import probe_grid
 
@@ -95,14 +94,22 @@ def kappa(gen: GeneratorField, t: float, x: Array) -> Array:
 # invariant processes
 
 def el_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
-    """Euler-Lagrange candidate: drift plus accumulated pressure gradient."""
-    grid = ensemble.grid
-    v = drift_process(case, ensemble).values
-    gp = along_paths(case.pressure.gradient, ensemble, grid.steps)
-    gp *= grid.dt
-    np.cumsum(gp, axis=1, out=gp)
-    v[:, 1:] += gp
-    return ProcessSample(grid, v, f"el({case.name})")
+    """Euler-Lagrange candidate: drift plus accumulated pressure gradient.
+
+    Built one time slice at a time; the running sum adds in ``np.cumsum``'s
+    order, so the values are those of the whole-array construction.
+    """
+    require_tag(ensemble, pu_tag(case))
+    grid, x = ensemble.grid, ensemble.positions
+    values = np.empty(x.shape)
+    for k, t in enumerate(grid.times):     # one time slice at a time
+        np.negative(case.velocity.eval(1.0 - t, x[:, k]), out=values[:, k])
+        if k:
+            values[:, k] += running
+        if k < grid.steps:
+            gp = case.pressure.gradient(1.0 - t, x[:, k]) * grid.dt
+            running = gp if k == 0 else running + gp        # cumsum's order
+    return ProcessSample(grid, values, f"el({case.name})")
 
 
 def noether_process_general(case: FlowCase, ensemble: PathEnsemble,
@@ -137,16 +144,20 @@ def noether_rotation_closed_form(case: FlowCase, ensemble: PathEnsemble,
     Dropping the compensator (the ablation) leaves the raw kinetic momentum,
     which is not a martingale unless the vorticity vanishes.
     """
-    grid = ensemble.grid
-    x = ensemble.positions
-    v = drift_process(case, ensemble).values
-    values = x[:, :, 0] * v[:, :, 1] - x[:, :, 1] * v[:, :, 0]
-    if include_compensator:
-        curl = case.velocity.curl
-        comp = along_paths(lambda t, y: curl(t, y)[..., 2], ensemble, grid.steps)
-        comp *= grid.dt
-        np.cumsum(comp, axis=1, out=comp)
-        values[:, 1:] += comp
+    require_tag(ensemble, pu_tag(case))
+    grid, x = ensemble.grid, ensemble.positions
+    curl = case.velocity.curl
+    values = np.empty(x.shape[:2])
+    for k, t in enumerate(grid.times):     # one time slice at a time
+        v = -case.velocity.eval(1.0 - t, x[:, k])
+        values[:, k] = x[:, k, 0] * v[:, 1] - x[:, k, 1] * v[:, 0]
+        if not include_compensator:
+            continue
+        if k:
+            values[:, k] += running
+        if k < grid.steps:
+            comp = curl(1.0 - t, x[:, k])[..., 2] * grid.dt
+            running = comp if k == 0 else running + comp    # cumsum's order
     label = "kinetic_momentum" if not include_compensator else "noether_rotation"
     return ProcessSample(grid, values, f"{label}({case.name})")
 

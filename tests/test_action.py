@@ -14,8 +14,10 @@ from lagrangeflow import (FlowCase, PressureField, action_derivative_analytic,
                           least_action_check, mean_with_error, simulate_pu,
                           sine_perturbation, stochastic_action)
 
-from lagrangeflow.action import _CHECK_PATHS
-from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR
+from lagrangeflow import catalog, suite
+from lagrangeflow.action import (_CHECK_PATHS, _analytic_table, _fd_table,
+                                 criticality_report, criticality_tables)
+from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS
 
 from conftest import SEED, threads as _threads
 
@@ -249,6 +251,53 @@ def test_criterion_3_outputs_invariant_to_worker_count(name, n, m, seed):
                             action_derivatives_fd(case, ens, dictionary)))
     for other in outputs[1:]:
         assert other == outputs[0]
+
+
+@pytest.mark.parametrize("n", [1, PIECE_PATHS - 1, PIECE_PATHS + 1, BLOCK_PATHS - 1,
+                               BLOCK_PATHS + 1, 2 * BLOCK_PATHS + 5])
+@settings(max_examples=5, deadline=None, database=None)
+@given(name=st.sampled_from(["taylor_green", "lamb_oseen",
+                             "frozen_taylor_green"]),
+       m=st.integers(2, 12), seed=st.integers(0, 2**64 - 1))
+def test_streamed_tables_equal_the_ensemble_estimators(n, name, m, seed):
+    # criterion 3's tables, from simulation pieces and the drift the walk
+    # used, equal both estimators on the simulated ensemble, bit for bit
+    case = get_case(name)
+    dictionary = default_dictionary()
+    with _threads("1"):
+        ens = simulate_pu(case, n, m, seed)
+        want = (_analytic_table(case, ens, dictionary),
+                _fd_table(case, ens, dictionary, 1e-2))
+        if n >= 2:
+            check = least_action_check(case, ens, dictionary)
+            fd = action_derivatives_fd(case, ens, dictionary)
+    for count in ("1", "2", "3", "8"):
+        with _threads(count):
+            got = criticality_tables(case, n, m, seed, dictionary)
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want], count
+        if n >= 2:
+            assert criticality_report(dictionary, got[0]) == check
+            assert [mean_with_error(row) for row in got[1]] == fd
+
+
+def test_criterion_3_evaluates_u_once_per_path_point(monkeypatch):
+    # per case: u at each path point with k < M once (the simulation's drift
+    # feeds both estimators), grad p once there, and p once per probe and sign
+    monkeypatch.setenv("LAGRANGEFLOW_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    points = {}
+    get = catalog.get_case
+
+    def counting_get_case(name):
+        return _counting_case(get(name), points.setdefault(name, {}))
+
+    monkeypatch.setattr(catalog, "get_case", counting_get_case)
+    scale = suite.SuiteScale(n_paths=2 * PIECE_PATHS + 5, steps=5, seed=SEED)
+    suite.run_criterion(3, scale)
+    n, m, probes = scale.n_paths, scale.steps, len(default_dictionary())
+    assert points == dict.fromkeys(
+        ("taylor_green", "lamb_oseen", "frozen_taylor_green"),
+        {"u": n * m, "gradp": n * m, "p": 2 * m * probes * n})
 
 
 def test_fd_exact_for_locally_quadratic_pressure(zero_ensemble):

@@ -195,6 +195,10 @@ class TestLambOseen:
         eta = eta[(eta >= 0.0) & (eta <= 40.0)]
         assert np.array_equal(_G(eta).view(np.int64), spline(eta).view(np.int64))
         assert _G(0.0) == spline(0.0) and _G(40.0) == spline(40.0)
+        # a 2-D input with every point inside takes the unmasked path
+        plane = eta[:16_000].reshape(80, 200)
+        assert _G(plane).shape == plane.shape
+        assert np.array_equal(_G(plane).view(np.int64), spline(plane).view(np.int64))
         # past the spline domain the exponential-integral tail takes over
         past = np.array([np.nextafter(40.0, np.inf), 41.0, 1e3, 1e300, np.inf])
         with np.errstate(all="ignore"):

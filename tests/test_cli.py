@@ -1,9 +1,11 @@
 import io
 import json
 import contextlib
+import functools
 
 import pytest
 
+from lagrangeflow import cli
 from lagrangeflow.cli import main
 
 
@@ -201,6 +203,31 @@ def test_usage_errors_exit_2_with_one_line():
         code, out, err = run_cli(argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
+
+
+def test_one_parser_per_process_answers_as_fresh_ones(monkeypatch):
+    # a usage error, a valid command, then a different command on the
+    # process's one parser: each answers as it does on a parser of its own
+    sequence = [["el-test", "--case", "taylor_green", "--N", "many"],
+                ["least-action", "--case", "taylor_green", "--N", "64", "--M", "4"],
+                ["residual", "--case", "lamb_oseen", "--grid", "3"],
+                ["el-test", "--bogus"]]
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return cli.build_parser()
+
+    monkeypatch.setattr(cli, "_parser", functools.cache(counting_build))
+    shared = [run_cli(argv) for argv in sequence]
+    assert len(built) == 1
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(argv))
+    assert len(built) == 1 + len(sequence)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 2]
 
 
 def test_capacity_exit_4():

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -12,7 +14,8 @@ from lagrangeflow import (CapacityError, TagMismatchError, TimeGrid,
                           get_case, load_ensemble, load_process,
                           process_to_csv, simulate_pu, simulate_wiener,
                           worker_count)
-from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, ProcessSample
+from lagrangeflow.engine import (BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS, ProcessSample,
+                                 walk_pieces)
 
 from conftest import M_SMALL, N_SMALL, SEED, threads
 
@@ -108,6 +111,35 @@ def test_pieces_equal_whole_block_draws(n, name, steps, seed, count):
     positions, want_noise = _whole_block_reference(case, n, steps, seed)
     assert np.array_equal(ens.positions, positions)
     assert np.array_equal(noise, want_noise)
+
+
+def test_pieces_are_walked_once_under_thread_switching():
+    # eight workers on a 1 us switch interval: every piece is visited once,
+    # each with the positions and drifts a single worker computes
+    case = get_case("lamb_oseen")
+    n, m = 2 * BLOCK_PATHS + 3 * PIECE_PATHS + 7, 4
+    seen, lock = [], threading.Lock()
+
+    def visit(lo, x, v):
+        with lock:
+            seen.append((lo, x.shape[1]))
+        assert np.array_equal(x.transpose(1, 0, 2), want.positions[lo:lo + x.shape[1]])
+        for k in range(m):
+            assert np.array_equal(v[:, k], -case.velocity.eval(1.0 - k / m, x[k]))
+
+    with threads("1"):
+        want = simulate_pu(case, n, m, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with threads("8"):
+            walk_pieces(case, n, m, 5, visit)
+            got = simulate_pu(case, n, m, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == [(lo, min(PIECE_PATHS, n - lo))
+                            for lo in range(0, n, PIECE_PATHS)]
+    assert np.array_equal(got.positions, want.positions)
 
 
 def test_simulation_scratch_is_one_piece(monkeypatch):

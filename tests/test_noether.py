@@ -42,7 +42,62 @@ def test_kappa_vanishes_for_isometries():
     assert np.all(k[..., 0, 0] == 2.0) and abs(k).sum() == 2.0 * len(pts)
 
 
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _whole_array_el(case, ens):
+    # the construction over whole (N, M+1, 3) and (N, M, 3) arrays
+    v = drift_process(case, ens).values
+    gp = np.stack([case.pressure.gradient(1.0 - t, ens.positions[:, k])
+                   for k, t in enumerate(ens.grid.times[:-1])], axis=1)
+    gp *= ens.grid.dt
+    np.cumsum(gp, axis=1, out=gp)
+    v[:, 1:] += gp
+    return v
+
+
+def _whole_array_rotation(case, ens, include_compensator):
+    x, v = ens.positions, drift_process(case, ens).values
+    values = x[:, :, 0] * v[:, :, 1] - x[:, :, 1] * v[:, :, 0]
+    if include_compensator:
+        comp = np.stack([case.velocity.curl(1.0 - t, x[:, k])[..., 2]
+                         for k, t in enumerate(ens.grid.times[:-1])], axis=1)
+        comp *= ens.grid.dt
+        np.cumsum(comp, axis=1, out=comp)
+        values[:, 1:] += comp
+    return values
+
+
+@pytest.mark.parametrize("name", ["taylor_green", "lamb_oseen", "zero_flow",
+                                  "frozen_taylor_green", "taylor_green_rotated"])
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_slice_builders_equal_whole_array_construction(name, n):
+    # bit for bit, signs of zero included
+    case = get_case(name)
+    ens = simulate_pu(case, n, 20, SEED)
+    assert (el_process(case, ens).values.tobytes()
+            == _whole_array_el(case, ens).tobytes())
+    for compensated in (True, False):
+        got = noether_rotation_closed_form(case, ens, compensated).values
+        assert got.tobytes() == _whole_array_rotation(case, ens, compensated).tobytes()
+
+
 class TestElProcess:
+    def test_scratch_is_one_time_slice(self):
+        # beyond its (N, M+1, 3) output the builder holds a few (N, 3)
+        # slices, not a whole drift or an (N, M, 3) grad p array
+        case = get_case("lamb_oseen")
+        n, m = 4096, 50
+        ens = simulate_pu(case, n, m, SEED)
+        peak = _peak_bytes(el_process, case, ens)
+        assert peak < n * (m + 1) * 3 * 8 + 20 * n * 3 * 8
+
     def test_zero_flow_is_identically_zero(self, zero_ensemble):
         proc = el_process(get_case("zero_flow"), zero_ensemble)
         assert np.all(proc.values == 0.0)
@@ -82,6 +137,16 @@ class TestNoetherProcesses:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < n * (m + 1) * 8 + 20 * n * 3 * 8
+
+    @pytest.mark.parametrize("compensated", [True, False])
+    def test_rotation_closed_form_scratch_is_one_time_slice(self, compensated):
+        # beyond its (N, M+1) output the builder holds a few (N, 3) slices,
+        # not a whole (N, M+1, 3) drift or an (N, M) compensator
+        case = get_case("lamb_oseen")
+        n, m = 4096, 50
+        ens = simulate_pu(case, n, m, SEED)
+        peak = _peak_bytes(noether_rotation_closed_form, case, ens, compensated)
         assert peak < n * (m + 1) * 8 + 20 * n * 3 * 8
 
     def test_zero_generator_gives_zero_process(self, tg_ensemble):

@@ -14,7 +14,7 @@ from lagrangeflow.suite import (SuiteScale, _EnsembleCache, _reads,
 # N above criterion 4's 4000-path zero-flow ensembles, whose Wiener companion
 # would otherwise share a key with the cached Wiener ensemble
 TOY = SuiteScale(n_paths=4096, steps=8, seed=5, alpha=0.01)
-CACHED = range(2, 8)    # criteria 1, 8 and 9 read no cached ensemble
+CACHED = range(2, 8)    # criteria 1, 3, 8 and 9 read no cached ensemble
 
 
 class _RecordingCache(_EnsembleCache):
@@ -32,11 +32,13 @@ def test_each_criterion_reads_its_planned_keys(index):
     cache = _RecordingCache(TOY)
     run_criterion(index, TOY, cache)
     assert Counter(cache.requested) == Counter(_reads(TOY).get(index, ()))
+    if index == 3:      # criterion 3 simulates its own paths piece by piece
+        assert cache.requested == [] and 3 not in _reads(TOY)
 
 
 def test_cache_forgets_each_key_after_its_last_planned_read():
     key = ("pu", "taylor_green", TOY.n_paths, TOY.steps, TOY.seed)
-    cache = _EnsembleCache(TOY, [2, 3])
+    cache = _EnsembleCache(TOY, [2, 5])     # each reads Taylor-Green once
     first = cache.pu(*key[1:])
     assert key in cache
     assert cache.pu(*key[1:]) is first
@@ -60,7 +62,7 @@ def test_suite_simulates_each_planned_key_once(monkeypatch):
     monkeypatch.setattr(suite, "simulate_pu", count_pu)
     monkeypatch.setattr(suite, "simulate_wiener", count_wiener)
     report = run_suite(TOY, only=list(CACHED))
-    planned = {key for i in CACHED for key in _reads(TOY)[i]}
+    planned = {key for i in CACHED for key in _reads(TOY).get(i, ())}
     assert {key: made[key] for key in planned} == dict.fromkeys(planned, 1)
     separate = [run_criterion(i, TOY) for i in CACHED]
     assert (json.dumps(report["criteria"], sort_keys=True)
@@ -68,9 +70,10 @@ def test_suite_simulates_each_planned_key_once(monkeypatch):
 
 
 def test_criterion_3_holds_one_ensemble_at_a_time(monkeypatch):
-    # each 48 MB ensemble is at least 5.6 times either estimator's scratch
-    # (8.6 MB at most, Lamb-Oseen's FD oracle); keeping every case's ensemble
-    # until the criterion ends peaks above three ensembles
+    # criterion 3 holds no ensemble at all: one simulation piece with its
+    # drift, the estimators' block scratch and the two (J, N) tables stay
+    # below half of one 47 MB ensemble; simulating each case's ensemble first
+    # peaks above one, and keeping them all above three
     monkeypatch.setenv("LAGRANGEFLOW_THREADS", "1")
     scale = SuiteScale(n_paths=4 * BLOCK_PATHS, steps=60, seed=3, alpha=0.01)
     tracemalloc.start()
@@ -79,4 +82,4 @@ def test_criterion_3_holds_one_ensemble_at_a_time(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * scale.n_paths * (scale.steps + 1) * 3 * 8
+    assert peak < 0.5 * scale.n_paths * (scale.steps + 1) * 3 * 8
