@@ -22,8 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import (CHUNK_FLOOR, PIECE_PATHS, PathEnsemble, TimeGrid, pu_tag,
-                     require_tag, run_chunks, walk_pieces)
+from .engine import (CHUNK_FLOOR, PIECE_PATHS, PathEnsemble, TimeGrid, drift_slice,
+                     pu_tag, require_tag, run_chunks, walk_pieces)
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_error
 
@@ -144,7 +144,7 @@ def _per_path_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list,
     out the block's (J, B) slice.  No entry depends on its block.
     """
     require_tag(ensemble, pu_tag(case))
-    u, times, m = case.velocity.eval, ensemble.grid.times, ensemble.grid.steps
+    times, m = ensemble.grid.times, ensemble.grid.steps
     table = np.empty((len(dictionary), ensemble.n_paths))
 
     def chunk(lo, hi):
@@ -153,8 +153,7 @@ def _per_path_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list,
             rows = replace(ensemble, positions=ensemble.positions[a:b])
             v = np.empty((b - a, m, 3))
             for k in range(m):
-                v[:, k] = u(1.0 - times[k], rows.positions[:, k])
-            np.negative(v, out=v)
+                drift_slice(case, times[k], rows.positions[:, k], out=v[:, k])
             kernel(rows, v, [h.profile(rows) for h in dictionary], table[:, a:b])
 
     run_chunks(ensemble.n_paths, chunk)
@@ -175,12 +174,14 @@ def _analytic_kernel(case: FlowCase, grid: TimeGrid):
         gp = np.empty_like(v)
         for k in range(m):
             gp[:, k] = grad_p(1.0 - times[k], rows.positions[:, k])
+        # a component with a zero weight column adds +-0 terms to sums that
+        # start at +0, which leaves every bit as it is; a non-finite v or
+        # grad p would add nan there instead, so then every component is added
+        finite = np.isfinite(v).all() and np.isfinite(gp).all()
         for (base, dbase, weight), row in zip(profiles, out):
             kinetic, potential = np.zeros((2, rows.n_paths, m))
             for j in range(3):
-                if not weight[:, j].any():
-                    # the terms are +-0, and adding them to sums that start
-                    # at +0 leaves every bit as it is
+                if finite and not weight[:, j].any():
                     continue
                 kinetic += v[..., j] * (dbase[:m] * weight[:, j, None])
                 potential += gp[..., j] * (base[:m] * weight[:, j, None])

@@ -227,7 +227,6 @@ def walk_pieces(case, n_paths: int, steps: int, seed: int, visit) -> None:
     _check_scale(n_paths, steps, seed)
     grid = TimeGrid(steps)
     times, dt = grid.times, grid.dt
-    u = None if case is None else case.velocity.eval
     queues = [(threading.Lock(), _philox(seed, index), iter(range(lo, hi, PIECE_PATHS)), hi)
               for index, lo, hi in _blocks(n_paths)]
     rows = min(n_paths, PIECE_PATHS)
@@ -248,12 +247,12 @@ def walk_pieces(case, n_paths: int, steps: int, seed: int, visit) -> None:
                 b = len(piece)
                 for k in range(steps):
                     step = piece[:, k]
-                    if u is not None:
-                        v = -u(1.0 - times[k], x[k, :b])
+                    if case is not None:
+                        v = drift_slice(case, times[k], x[k, :b])
                         step = v * dt + step
                         piece[:, k] = v
                     np.add(x[k, :b], step, out=x[k + 1, :b])
-                visit(lo, x[:, :b], None if u is None else piece)
+                visit(lo, x[:, :b], None if case is None else piece)
 
     _run_pool(worker, scratch)
 
@@ -317,6 +316,12 @@ def left_point_sum(term, ensemble: PathEnsemble) -> Array:
     return total
 
 
+def drift_slice(case: FlowCase, t: float, x: Array, out=None) -> Array:
+    """The drift v = -u(1 - t, x) of the positions x at grid time t, into out
+    if given."""
+    return np.negative(case.velocity.eval(1.0 - t, x), out=out)
+
+
 def drift_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
     """The realized drift v[n, k] = -u(1 - t_k, X[n, k]) along each path.
 
@@ -327,7 +332,7 @@ def drift_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
     x = ensemble.positions
     values = np.empty(x.shape)
     for k, t in enumerate(ensemble.grid.times):
-        np.negative(case.velocity.eval(1.0 - t, x[:, k]), out=values[:, k])
+        drift_slice(case, t, x[:, k], out=values[:, k])
     return ProcessSample(ensemble.grid, values, f"drift({case.name})")
 
 

@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import PathEnsemble, ProcessSample, pu_tag, require_tag
+from .engine import (PathEnsemble, ProcessSample, drift_process, drift_slice,
+                     pu_tag, require_tag)
 from .fields import Array, FlowCase
 from .catalog import probe_grid
 
@@ -96,19 +97,16 @@ def kappa(gen: GeneratorField, t: float, x: Array) -> Array:
 def el_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
     """Euler-Lagrange candidate: drift plus accumulated pressure gradient.
 
-    Built one time slice at a time; the running sum adds in ``np.cumsum``'s
-    order, so the values are those of the whole-array construction.
+    The pressure-gradient sum runs one time slice at a time and is added to
+    the drift process in place, in ``np.cumsum``'s order, so the values are
+    those of the whole-array construction.
     """
-    require_tag(ensemble, pu_tag(case))
+    values = drift_process(case, ensemble).values
     grid, x = ensemble.grid, ensemble.positions
-    values = np.empty(x.shape)
-    for k, t in enumerate(grid.times):     # one time slice at a time
-        np.negative(case.velocity.eval(1.0 - t, x[:, k]), out=values[:, k])
-        if k:
-            values[:, k] += running
-        if k < grid.steps:
-            gp = case.pressure.gradient(1.0 - t, x[:, k]) * grid.dt
-            running = gp if k == 0 else running + gp        # cumsum's order
+    for k, t in enumerate(grid.times[:-1]):     # one time slice at a time
+        gp = case.pressure.gradient(1.0 - t, x[:, k]) * grid.dt
+        running = gp if k == 0 else running + gp            # cumsum's order
+        values[:, k + 1] += running
     return ProcessSample(grid, values, f"el({case.name})")
 
 
@@ -126,7 +124,7 @@ def noether_process_general(case: FlowCase, ensemble: PathEnsemble,
     values = np.empty(x.shape[:2])
     bracket = 0.0
     for k, t in enumerate(grid.times):     # one time slice at a time
-        v = -case.velocity.eval(1.0 - t, x[:, k])
+        v = drift_slice(case, t, x[:, k])
         xi = gen.xi(t, x[:, k])
         if k:
             prod = ((xi - xi_prev) * (v - v_prev)).sum(axis=-1)
@@ -149,7 +147,7 @@ def noether_rotation_closed_form(case: FlowCase, ensemble: PathEnsemble,
     curl = case.velocity.curl
     values = np.empty(x.shape[:2])
     for k, t in enumerate(grid.times):     # one time slice at a time
-        v = -case.velocity.eval(1.0 - t, x[:, k])
+        v = drift_slice(case, t, x[:, k])
         values[:, k] = x[:, k, 0] * v[:, 1] - x[:, k, 1] * v[:, 0]
         if not include_compensator:
             continue

@@ -207,6 +207,30 @@ def test_least_action_scratch_is_a_few_path_arrays(tg_ensemble):
     assert peak < v_bytes + gp_bytes + 4 * n * m * 8
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_analytic_table_adds_every_component_of_a_non_finite_drift(tg_ensemble):
+    # a zero weight column is skipped only while v and grad p are finite: an
+    # infinite v_3 turns the e1 and e2 probes of its path into nan, as adding
+    # every component does, and leaves the other paths as they were
+    case = get_case("taylor_green")
+    cut = np.quantile(tg_ensemble.positions[:, :-1, 0], 0.99)
+
+    def u(t, x):
+        out = case.velocity.eval(t, x)
+        out[..., 2] = np.where(x[..., 0] > cut, np.inf, out[..., 2])
+        return out
+
+    bad = dataclasses.replace(case, velocity=dataclasses.replace(case.velocity, eval=u))
+    dictionary = default_dictionary()
+    hit = (tg_ensemble.positions[:, :-1, 0] > cut).any(axis=1)
+    planar = [i for i, h in enumerate(dictionary) if h.label[-2:] in ("e1", "e2")]
+    table = _analytic_table(bad, tg_ensemble, dictionary)
+    assert hit.any() and len(planar) == 4
+    assert np.isnan(table[np.ix_(planar, hit)]).all()
+    assert np.array_equal(table[:, ~hit],
+                          _analytic_table(case, tg_ensemble, dictionary)[:, ~hit])
+
+
 @pytest.mark.parametrize("estimator", [least_action_check, action_derivatives_fd])
 def test_criterion_3_scratch_does_not_grow_with_n(estimator):
     # both estimators keep O(block) scratch plus a (J, N) per-path table, so
