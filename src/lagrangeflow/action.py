@@ -16,19 +16,18 @@ derivative from the action alone as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import (CHUNK_FLOOR, PIECE_PATHS, PathEnsemble, TimeGrid, drift_slice,
-                     pu_tag, require_tag, run_chunks, walk_pieces)
+from .engine import (PathEnsemble, TimeGrid, pu_tag, replay_pieces,
+                     walk_pieces)
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_error
 
 _EPS_RANGE = (1e-4, 1e-1)
-_CHECK_PATHS = PIECE_PATHS  # paths per analytic sub-block, whose scratch is O(M) per path
 
 
 @dataclass(frozen=True)
@@ -136,35 +135,29 @@ def stochastic_action(case: FlowCase, ensemble: PathEnsemble) -> EstimateWithErr
     return mean_with_error(action_per_path(case, ensemble))
 
 
-def _per_path_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list,
-                    kernel, size: int = CHUNK_FLOOR) -> Array:
-    """(J, N) per-path values, one row per probe, from kernel(rows, v, profiles,
-    out) on the ensemble cut to blocks of at most ``size`` paths, on the worker
-    threads; v is the block's drift -u(1 - t_k, X_k) for k < M, (B, M, 3), and
-    out the block's (J, B) slice.  No entry depends on its block.
-    """
-    require_tag(ensemble, pu_tag(case))
-    times, m = ensemble.grid.times, ensemble.grid.steps
-    table = np.empty((len(dictionary), ensemble.n_paths))
+def _tables(case: FlowCase, grid: TimeGrid, n_paths: int, dictionary: list,
+            kernels, pieces) -> Array:
+    """One (J, N) per-path table per kernel, from kernel(rows, v, profiles, out)
+    on each piece pieces(visit) hands out (``walk_pieces`` or ``replay_pieces``);
+    v is the piece's drift for k < M, (P, M, 3), and out the piece's (J, P)
+    slice.  No entry depends on its piece."""
+    tables = np.empty((len(kernels), len(dictionary), n_paths))
 
-    def chunk(lo, hi):
-        for a in range(lo, hi, size):
-            b = min(a + size, hi)
-            rows = replace(ensemble, positions=ensemble.positions[a:b])
-            v = np.empty((b - a, m, 3))
-            for k in range(m):
-                drift_slice(case, times[k], rows.positions[:, k], out=v[:, k])
-            kernel(rows, v, [h.profile(rows) for h in dictionary], table[:, a:b])
+    def visit(lo, x, v):
+        rows = PathEnsemble(grid, x.transpose(1, 0, 2), pu_tag(case), 0)
+        profiles = [h.profile(rows) for h in dictionary]
+        for kernel, table in zip(kernels, tables):
+            kernel(rows, v, profiles, table[:, lo:lo + rows.n_paths])
 
-    run_chunks(ensemble.n_paths, chunk)
-    return table
+    pieces(visit)
+    return tables
 
 
 def _analytic_kernel(case: FlowCase, grid: TimeGrid):
     """kernel(rows, v, profiles, out): per-path sum_k (<v_k, hdot_k>
-    - <grad p(1 - t_k, X_k), h_k>) dt of a path block into out, (J, B).
+    - <grad p(1 - t_k, X_k), h_k>) dt of a piece into out, (J, P).
 
-    The block adds grad p for k < M, the shape of v, and a few (B, M) arrays.
+    The piece adds grad p for k < M, the shape of v, and a few (P, M) arrays.
     Inner products add components from zero in order, as ``.sum(axis=-1)``
     does, and each contiguous integrand row is summed whole.
     """
@@ -192,11 +185,11 @@ def _analytic_kernel(case: FlowCase, grid: TimeGrid):
 
 def _fd_kernel(case: FlowCase, grid: TimeGrid, eps: float):
     """kernel(rows, v, profiles, out): per-path central difference of the
-    pushforward action of a path block into out, (J, B).
+    pushforward action of a piece into out, (J, P).
 
     The path map omega -> omega + eps*h moves positions to X + eps*h and the
-    drift process to v + eps*hdot.  The block stacks the shifted drifts and
-    positions of every probe and sign in two (2J, B, 3) arrays, so one p call
+    drift process to v + eps*hdot.  The piece stacks the shifted drifts and
+    positions of every probe and sign in two (2J, P, 3) arrays, so one p call
     per step serves them all, and adds each path's terms in increasing k.  p
     is evaluated afresh at every shifted position: this is the independent
     check on the analytic derivative and reads nothing from it.
@@ -238,15 +231,17 @@ def _fd_kernel(case: FlowCase, grid: TimeGrid, eps: float):
 
 def _analytic_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list) -> Array:
     """Per-path sum_k (<v_k, hdot_k> - <grad p(1 - t_k, X_k), h_k>) dt, (J, N)."""
-    return _per_path_table(case, ensemble, dictionary,
-                           _analytic_kernel(case, ensemble.grid), _CHECK_PATHS)
+    return _tables(case, ensemble.grid, ensemble.n_paths, dictionary,
+                   [_analytic_kernel(case, ensemble.grid)],
+                   lambda visit: replay_pieces(case, ensemble, visit))[0]
 
 
 def _fd_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list,
               eps: float) -> Array:
     """Per-path central differences of the pushforward action, (J, N)."""
-    return _per_path_table(case, ensemble, dictionary,
-                           _fd_kernel(case, ensemble.grid, eps))
+    return _tables(case, ensemble.grid, ensemble.n_paths, dictionary,
+                   [_fd_kernel(case, ensemble.grid, eps)],
+                   lambda visit: replay_pieces(case, ensemble, visit))[0]
 
 
 def action_derivative_analytic(case: FlowCase, ensemble: PathEnsemble,
@@ -275,27 +270,14 @@ def action_derivative_fd(case: FlowCase, ensemble: PathEnsemble,
 def criticality_tables(case: FlowCase, n_paths: int, steps: int, seed: int,
                        dictionary: list, eps: float = 1e-2):
     """The analytic and finite-difference (J, N) tables of ``_analytic_table``
-    and ``_fd_table`` on ``simulate_pu(case, n_paths, steps, seed)``, without
-    the ensemble.
-
-    Each simulated piece goes through both kernels with the drift the
-    simulation computed, so u is evaluated once per path point; the FD kernel
-    still evaluates p at its own shifted points.
-    """
+    and ``_fd_table`` on ``simulate_pu(case, n_paths, steps, seed)``, from its
+    walked pieces without the ensemble.  Both kernels read the drift the walk
+    computed, so u is evaluated once per path point; the FD kernel still
+    evaluates p at its own shifted points."""
     grid = TimeGrid(steps)
-    analytic, fd = _analytic_kernel(case, grid), _fd_kernel(case, grid, eps)
-    tables = np.empty((2, len(dictionary), n_paths))
-    tag = pu_tag(case)
-
-    def visit(lo, x, v):
-        rows = PathEnsemble(grid, x.transpose(1, 0, 2), tag, seed)
-        profiles = [h.profile(rows) for h in dictionary]
-        hi = lo + rows.n_paths
-        analytic(rows, v, profiles, tables[0, :, lo:hi])
-        fd(rows, v, profiles, tables[1, :, lo:hi])
-
-    walk_pieces(case, n_paths, steps, seed, visit)
-    return tables[0], tables[1]
+    return tuple(_tables(case, grid, n_paths, dictionary,
+                         [_analytic_kernel(case, grid), _fd_kernel(case, grid, eps)],
+                         lambda visit: walk_pieces(case, n_paths, steps, seed, visit)))
 
 
 def criticality_report(entries: list, table: Array, alpha: float = 0.01) -> dict:

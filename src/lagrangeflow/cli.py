@@ -226,6 +226,8 @@ def _cmd_noether(cfg):
     if not cfg["generator"]:
         raise ConfigError("generator", "required for the noether command")
     gen = get_generator(cfg["generator"])
+    if cfg["ablate_compensator"] and cfg["generator"] != "rotation_e3":
+        raise ConfigError("ablate_compensator", "only meaningful for rotation_e3")
     gate = symmetry_check(case, gen)
     head = {"case": cfg["case"], "generator": cfg["generator"],
             "symmetry_check": gate.to_dict()}
@@ -236,9 +238,6 @@ def _cmd_noether(cfg):
         process = noether_rotation_closed_form(
             case, ensemble, include_compensator=not cfg["ablate_compensator"])
     else:
-        if cfg["ablate_compensator"]:
-            raise ConfigError("ablate_compensator",
-                              "only meaningful for rotation_e3")
         process = noether_process_general(case, ensemble, gen)
     report = martingale_test(process, ensemble, alpha=cfg["alpha"])
     return {**head, "process": process.label, "martingale": report.to_dict(),

@@ -10,7 +10,8 @@ with the same arguments is bit-exact and independent of how many workers run
 the blocks.  Workers draw a block's increments in fixed pieces, in order,
 and walk each piece on its own; ``walk_pieces`` hands every walked piece, with
 the drift it used, to a visitor, so an estimator can read the paths without
-an ensemble.  Ensembles store only their positions, time-major, and redraw
+an ensemble, and ``replay_pieces`` hands a stored ensemble's pieces to the
+same visitor.  Ensembles store only their positions, time-major, and redraw
 the increments whenever they are asked for.
 
 Novikov's condition holds automatically for the bounded catalog fields, so
@@ -33,7 +34,7 @@ from .fields import Array, FlowCase
 _MAGIC = b"LGF1"
 _MASK64 = (1 << 64) - 1
 BLOCK_PATHS = 8192          # fixed; never derived from the worker count
-CHUNK_FLOOR = 2048          # paths per block of run_chunks, fixed likewise
+CHUNK_FLOOR = 2048          # paths per worker at the least, fixed likewise
 PIECE_PATHS = 1024          # paths per simulation piece, fixed likewise
 
 WIENER_TAG = "wiener"
@@ -153,24 +154,18 @@ def _blocks(n_paths: int, size: int = BLOCK_PATHS) -> list:
             for i, lo in enumerate(range(0, n_paths, size))]
 
 
-def _run_pool(fn, tasks: list) -> None:
-    """fn(*task) for every task, on up to worker_count() threads; inline for one."""
-    workers = min(worker_count(), len(tasks))
-    if workers <= 1:
-        for task in tasks:
-            fn(*task)
+def _run_workers(worker, n_paths: int, *shapes) -> None:
+    """worker(*scratch) on one thread per CHUNK_FLOOR paths, capped at
+    worker_count() (a second worker does not pay for less); inline for one.
+    The scratch, zeroed arrays of the given shapes, comes from this thread:
+    freed memory a worker thread allocated stays in its malloc arena."""
+    scratch = [[np.zeros(shape) for shape in shapes]
+               for _ in range(min(worker_count(), -(-n_paths // CHUNK_FLOOR)))]
+    if len(scratch) == 1:
+        worker(*scratch[0])
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda task: fn(*task), tasks))
-
-
-def run_chunks(n_paths: int, fn) -> None:
-    """fn(lo, hi) over fixed blocks of CHUNK_FLOOR paths (the last may be
-    shorter) on up to worker_count() threads, so no worker's scratch grows
-    with N.  Callers must make each path's result independent of its block;
-    the blocks then never show.
-    """
-    _run_pool(lambda _, lo, hi: fn(lo, hi), _blocks(n_paths, CHUNK_FLOOR))
+        with ThreadPoolExecutor(max_workers=len(scratch)) as pool:
+            list(pool.map(lambda arrays: worker(*arrays), scratch))
 
 
 def _philox(seed: int, index: int) -> np.random.Generator:
@@ -212,31 +207,23 @@ def walk_pieces(case, n_paths: int, steps: int, seed: int, visit) -> None:
     """Simulate the ensemble of ``simulate_pu(case, ...)`` (``simulate_wiener``
     for case None) piece by piece, and call visit(lo, x, v) on each piece.
 
-    Up to one worker per CHUNK_FLOOR paths runs, as in run_chunks: a second
-    worker does not pay for less.  A worker claims the next piece of
-    PIECE_PATHS paths of an 8192-path block and draws its increments under
-    that block's lock, so the block's Philox generator yields them in piece
-    order and every increment is the one a whole-block draw gives.  It walks
-    the piece unlocked; each step writes the drift v_k = -u(1 - t_k,
-    X_k) it used into the increment slot it just consumed.  x is the piece's
-    time-major (M+1, P, 3) positions of paths lo to lo + P - 1, and v its
-    (P, M, 3) drifts for k < M (None without a case).  Both are the worker's
-    scratch, overwritten by its next piece, and visit runs on the worker
-    threads.
+    A worker claims the next piece of PIECE_PATHS paths of an 8192-path block
+    and draws its increments under that block's lock, so the block's Philox
+    generator yields them in piece order and every increment is the one a
+    whole-block draw gives.  It walks the piece unlocked; each step writes the
+    drift v_k = -u(1 - t_k, X_k) it used into the increment slot it just
+    consumed.  x is the piece's time-major (M+1, P, 3) positions of paths lo to
+    lo + P - 1, and v its (P, M, 3) drifts for k < M (None without a case).
+    Both are the worker's scratch, overwritten by its next piece, and visit
+    runs on the worker threads.
     """
     _check_scale(n_paths, steps, seed)
     grid = TimeGrid(steps)
     times, dt = grid.times, grid.dt
     queues = [(threading.Lock(), _philox(seed, index), iter(range(lo, hi, PIECE_PATHS)), hi)
               for index, lo, hi in _blocks(n_paths)]
-    rows = min(n_paths, PIECE_PATHS)
-    # each worker's noise and positions (x[0] stays at the origin) come from
-    # this thread: freed memory a worker thread allocated stays in its malloc
-    # arena (13 MB more resident after desk criterion 3)
-    scratch = [(np.empty((rows, steps, 3)), np.zeros((steps + 1, rows, 3)))
-               for _ in range(min(worker_count(), -(-n_paths // CHUNK_FLOOR)))]
 
-    def worker(noise, x):
+    def worker(noise, x):       # x[0] stays at the origin
         for lock, gen, starts, end in queues:
             while True:
                 with lock:
@@ -254,7 +241,31 @@ def walk_pieces(case, n_paths: int, steps: int, seed: int, visit) -> None:
                     np.add(x[k, :b], step, out=x[k + 1, :b])
                 visit(lo, x[:, :b], None if case is None else piece)
 
-    _run_pool(worker, scratch)
+    rows = min(n_paths, PIECE_PATHS)
+    _run_workers(worker, n_paths, (rows, steps, 3), (steps + 1, rows, 3))
+
+
+def replay_pieces(case: FlowCase, ensemble: PathEnsemble, visit) -> None:
+    """visit(lo, x, v) on a stored ``simulate_pu(case, ...)`` ensemble's pieces,
+    on the workers ``walk_pieces`` would run: x is a read-only time-major (M+1,
+    P, 3) view of the stored positions and v the (P, M, 3) drifts for k < M,
+    which ``drift_slice`` writes into the worker's scratch."""
+    require_tag(ensemble, pu_tag(case))
+    n, steps, times = ensemble.n_paths, ensemble.grid.steps, ensemble.grid.times
+    lock, starts = threading.Lock(), iter(range(0, n, PIECE_PATHS))
+
+    def worker(v):
+        while True:
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            x = ensemble.positions[lo:lo + PIECE_PATHS].transpose(1, 0, 2)
+            for k in range(steps):
+                drift_slice(case, times[k], x[k], out=v[:x.shape[1], k])
+            visit(lo, x, v[:x.shape[1]])
+
+    _run_workers(worker, n, (min(n, PIECE_PATHS), steps, 3))
 
 
 def _ensemble(grid: TimeGrid, buffer: Array, tag: str, seed: int) -> PathEnsemble:
@@ -366,13 +377,13 @@ def dump_ensemble(ensemble: PathEnsemble, path) -> None:
 
     Header fields are little-endian 64-bit; the measure tag is stored as a
     64-bit byte length followed by its UTF-8 bytes.  Positions precede noise,
-    both path-major (N, M+1, 3) and (N, M, 3), written CHUNK_FLOOR paths at a
+    both path-major (N, M+1, 3) and (N, M, 3), written PIECE_PATHS paths at a
     time.
     """
     n, steps = ensemble.n_paths, ensemble.grid.steps
     with open(path, "wb") as fh:
         _write_header(fh, n, steps, ensemble.measure_tag, ensemble.seed)
-        for _, lo, hi in _blocks(n, CHUNK_FLOOR):
+        for _, lo, hi in _blocks(n, PIECE_PATHS):
             fh.write(np.ascontiguousarray(ensemble.positions[lo:hi], dtype="<f8"))
         for _, _, piece in _increments(ensemble.seed, steps, _blocks(n)):
             fh.write(piece.astype("<f8", copy=False))
@@ -392,7 +403,7 @@ def load_ensemble(path) -> PathEnsemble:
             raise ValueError(f"ensemble file payload is {payload} bytes; "
                              f"its header implies {expected}")
         buffer = _alloc((steps + 1, n, 3))
-        for _, lo, hi in _blocks(n, CHUNK_FLOOR):
+        for _, lo, hi in _blocks(n, PIECE_PATHS):
             rows = np.frombuffer(fh.read((hi - lo) * (steps + 1) * 3 * 8), dtype="<f8")
             buffer[:, lo:hi] = rows.reshape(hi - lo, steps + 1, 3).transpose(1, 0, 2)
         for lo, hi, piece in _increments(seed, steps, _blocks(n)):

@@ -384,9 +384,15 @@ CRITERIA = (
 )
 
 
+def _check_indices(indices) -> None:
+    if any(not 1 <= i <= len(CRITERIA) for i in indices):
+        raise ValueError(f"criteria run from 1 to {len(CRITERIA)}")
+
+
 def run_criterion(index: int, scale: SuiteScale,
                   cache: _EnsembleCache | None = None) -> dict:
     """Run one criterion (1-based index) at the given scale."""
+    _check_indices([index])
     if cache is None:
         cache = _EnsembleCache(scale, [index])
     return CRITERIA[index - 1](scale, cache)
@@ -396,6 +402,7 @@ def run_suite(scale: SuiteScale | None = None, only=None) -> dict:
     """Run the battery; ``only`` restricts to a list of 1-based indices."""
     scale = scale or SuiteScale()
     selected = sorted(set(only)) if only else range(1, len(CRITERIA) + 1)
+    _check_indices(selected)
     cache = _EnsembleCache(scale, selected)
     results = [CRITERIA[i - 1](scale, cache) for i in selected]
     return {"scale": scale.to_dict(),

@@ -15,8 +15,8 @@ from lagrangeflow import (FlowCase, PressureField, action_derivative_analytic,
                           sine_perturbation, stochastic_action)
 
 from lagrangeflow import catalog, suite
-from lagrangeflow.action import (_CHECK_PATHS, _analytic_table, _fd_table,
-                                 criticality_report, criticality_tables)
+from lagrangeflow.action import (_analytic_table, _fd_table, criticality_report,
+                                 criticality_tables)
 from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS
 
 from conftest import SEED, threads as _threads
@@ -149,20 +149,19 @@ def _counting_case(case, points, calls=None):
 
 def test_fd_evaluates_drift_once_and_pressure_per_shift(tg_ensemble):
     # every path point sees u once, and p once per probe and sign; all
-    # probes and signs of a block share one p call per step
+    # probes and signs of a piece share one p call per step, as on the walk
     points, calls = {}, {}
     case = _counting_case(get_case("taylor_green"), points, calls)
     dictionary = default_dictionary()
     action_derivatives_fd(case, tg_ensemble, dictionary)
     n, m = tg_ensemble.n_paths, tg_ensemble.grid.steps
-    blocks = -(-n // CHUNK_FLOOR)
     assert points == {"u": n * m, "p": 2 * m * len(dictionary) * n}
-    assert calls["p"] <= m * blocks
+    assert calls["p"] == m * -(-n // PIECE_PATHS)
 
 
 def test_fd_chunks_evaluate_each_point_once(monkeypatch):
-    # two workers and N above twice the block: three blocks, the last of
-    # three paths, and still every path point sees u once and p once per
+    # two workers and N above twice the worker floor: five pieces, the last
+    # of three paths, and still every path point sees u once and p once per
     # probe and sign
     monkeypatch.setenv("LAGRANGEFLOW_THREADS", "2")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -174,16 +173,16 @@ def test_fd_chunks_evaluate_each_point_once(monkeypatch):
     dictionary = default_dictionary()
     action_derivatives_fd(case, ens, dictionary)
     assert points == {"u": n * m, "p": 2 * m * len(dictionary) * n}
-    assert calls["p"] <= m * 3
+    assert calls["p"] == m * -(-n // PIECE_PATHS)
 
 
 def test_least_action_evaluates_each_point_once(monkeypatch):
-    # u and grad p once per path point and k < M, over every block and
-    # sub-block, and nothing else
+    # u and grad p once per path point and k < M, over every piece, and
+    # nothing else
     monkeypatch.setenv("LAGRANGEFLOW_THREADS", "2")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     base = get_case("taylor_green")
-    n, m = 2 * CHUNK_FLOOR + _CHECK_PATHS + 1, 5
+    n, m = 2 * CHUNK_FLOOR + PIECE_PATHS + 1, 5
     ens = simulate_pu(base, n, m, SEED)
     points = {}
     least_action_check(_counting_case(base, points), ens)
@@ -250,9 +249,9 @@ def test_criterion_3_scratch_does_not_grow_with_n(estimator):
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
-# block edges of the analytic sub-blocks, of run_chunks and of the simulation;
-# e + 1 leaves a last block of one path
-_EDGES = [e + d for e in (_CHECK_PATHS, CHUNK_FLOOR, CHUNK_FLOOR + _CHECK_PATHS,
+# edges of the pieces, of the worker floor and of the simulation's blocks;
+# e + 1 leaves a last piece of one path
+_EDGES = [e + d for e in (PIECE_PATHS, CHUNK_FLOOR, CHUNK_FLOOR + PIECE_PATHS,
                           2 * CHUNK_FLOOR, 3 * CHUNK_FLOOR, BLOCK_PATHS)
           for d in (-1, 0, 1)]
 
@@ -261,7 +260,7 @@ _EDGES = [e + d for e in (_CHECK_PATHS, CHUNK_FLOOR, CHUNK_FLOOR + _CHECK_PATHS,
 @given(name=st.sampled_from(["taylor_green", "lamb_oseen",
                              "frozen_taylor_green"]),
        n=st.one_of(st.sampled_from(_EDGES),
-                   st.integers(2, _CHECK_PATHS - 1),
+                   st.integers(2, PIECE_PATHS - 1),
                    st.integers(CHUNK_FLOOR - 1, BLOCK_PATHS + 1)),
        m=st.integers(2, 12), seed=st.integers(0, 2**63 - 1))
 def test_criterion_3_outputs_invariant_to_worker_count(name, n, m, seed):

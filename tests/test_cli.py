@@ -8,6 +8,8 @@ import pytest
 from lagrangeflow import cli
 from lagrangeflow.cli import main
 
+from conftest import threads
+
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -115,6 +117,34 @@ def test_noether_ablation_flag():
                             "--generator", "translation_e3",
                             "--ablate-compensator"] + SMALL)
     assert code == 2 and "ablate" in err
+
+
+def test_ablation_of_a_translation_is_refused_before_any_work(monkeypatch):
+    # at the default N the refused run would first gate and simulate 50,000 paths
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the configuration was checked")
+
+    monkeypatch.setattr(cli, "simulate_pu", forbidden)
+    monkeypatch.setattr(cli, "symmetry_check", forbidden)
+    code, out, err = run_cli(["noether", "--case", "taylor_green",
+                              "--generator", "translation_e3", "--ablate-compensator"])
+    assert code == 2 and out == "" and "ablate" in err
+
+
+def test_criterion_9_commands_identical_across_worker_counts():
+    # criterion 9's six commands above the 2048-path worker floor, so two
+    # and eight workers really split the paths
+    base = ["--N", "4097", "--M", "6", "--seed", "7"]
+    for argv in (["catalog"], ["residual", "--case", "taylor_green"],
+                 ["el-test", "--case", "taylor_green"] + base,
+                 ["action", "--case", "taylor_green"] + base,
+                 ["least-action", "--case", "taylor_green"] + base,
+                 ["noether", "--case", "lamb_oseen", "--generator", "rotation_e3"] + base):
+        outputs = []
+        for count in ("1", "2", "8"):
+            with threads(count):
+                outputs.append(run_cli(argv)[:2])
+        assert outputs[0][0] == 0 and outputs == [outputs[0]] * 3, argv[0]
 
 
 def test_unknown_case_and_generator_exit_2():

@@ -83,3 +83,18 @@ def test_criterion_3_holds_one_ensemble_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * scale.n_paths * (scale.steps + 1) * 3 * 8
+
+
+@pytest.mark.parametrize("index", [0, -1, 10])
+def test_criterion_numbers_outside_1_to_9_are_refused(index, monkeypatch):
+    # a number outside 1..9 raises before any criterion runs, rather than
+    # wrapping around to a criterion counted from the end
+    ran = []
+    monkeypatch.setattr(suite, "CRITERIA", tuple(
+        lambda scale, cache, i=i: ran.append(i) for i in range(1, 10)))
+    with pytest.raises(ValueError, match="from 1 to 9"):
+        run_criterion(index, TOY)
+    for only in ([index], [1, index], [index, 9]):
+        with pytest.raises(ValueError, match="from 1 to 9"):
+            run_suite(TOY, only=only)
+    assert ran == []
