@@ -17,7 +17,6 @@ derivative from the action alone as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +25,7 @@ from .engine import (PathEnsemble, TimeGrid, pu_tag, replay_pieces,
                      walk_pieces)
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_error
+from .martingale import bonferroni_quantile
 
 _EPS_RANGE = (1e-4, 1e-1)
 
@@ -292,11 +292,11 @@ def criticality_report(entries: list, table: Array, alpha: float = 0.01) -> dict
         if est.std_error > 0:
             z = est.value / est.std_error
         else:
-            z = 0.0 if abs(est.value) < 1e-14 else float(np.inf)
+            z = 0.0 if abs(est.value) < 1e-14 else float(np.copysign(np.inf, est.value))
         rows.append({"h": h.label, "estimate": est.value,
                      "std_error": est.std_error, "z": z})
     max_abs_z = max(abs(r["z"]) for r in rows)
-    threshold = NormalDist().inv_cdf(1.0 - alpha / (2.0 * len(rows)))
+    threshold = bonferroni_quantile(alpha, len(rows))
     return {"entries": rows, "max_abs_z": max_abs_z, "threshold": threshold,
             "verdict": "critical" if max_abs_z <= threshold else "not critical"}
 

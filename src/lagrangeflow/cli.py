@@ -29,10 +29,11 @@ from .action import DICTIONARIES, least_action_check
 from .engine import (WIENER_SEED_OFFSET, simulate_pu, simulate_wiener,
                      worker_count)
 from .girsanov import action_entropy_identity
-from .martingale import martingale_test
+from .martingale import TEST_FUNCTIONS, bonferroni_quantile, martingale_test
 from .noether import (UnknownGeneratorError, get_generator, el_process,
                       noether_process_general, noether_rotation_closed_form,
                       symmetry_check)
+from .suite import MAX_SEED_OFFSET, largest_family
 
 SCHEMA_VERSION = "1.1"
 
@@ -110,6 +111,28 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(key, message)
 
 
+def _check_reach(command: str, cfg: dict) -> None:
+    """Refuse what a command would fail on after its work had started: a seed
+    it offsets past 2**64, or an alpha with no finite Bonferroni quantile
+    over the largest family of cells it tests."""
+    offset, cells = 0, len(TEST_FUNCTIONS) * cfg["M"]
+    if command == "action":             # no Bonferroni family
+        offset, cells = WIENER_SEED_OFFSET, None
+    elif command == "least-action":
+        cells = len(DICTIONARIES[cfg["dictionary"]]())
+    elif command == "suite":
+        offset, cells = MAX_SEED_OFFSET, largest_family(cfg["M"])
+    if cfg["seed"] >= 2**64 - offset:
+        raise ConfigError("seed", f"must be < 2**64 - {offset}: {command} "
+                                  f"simulates at seeds up to seed + {offset}")
+    if cells:
+        try:
+            bonferroni_quantile(cfg["alpha"], cells)
+        except ValueError:
+            raise ConfigError("alpha", f"too small for a Bonferroni family of "
+                                       f"{cells} cells") from None
+
+
 def load_config_file(path) -> dict:
     """Key-value file mirroring the experiment config: `key = value` lines,
     '#' comments; flags given on the command line take precedence."""
@@ -150,6 +173,8 @@ def _resolve_config(args) -> dict:
     cfg.update((key, value) for key in _OPTIONS
                if (value := getattr(args, key, None)) is not None)
     _validate(cfg)
+    if args.command in _SIMULATING:
+        _check_reach(args.command, cfg)
     if args.out:
         _check_writable(args.out)
     try:

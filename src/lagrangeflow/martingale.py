@@ -78,6 +78,17 @@ class MartingaleTestReport:
                    header=",".join(self.j_labels), comments="")
 
 
+def bonferroni_quantile(alpha: float, cells: int) -> float:
+    """The two-sided Bonferroni threshold on |z| over a family of ``cells``
+    statistics at level alpha.  An alpha so small that 1 - alpha / (2 cells)
+    rounds to 1 has no finite quantile and raises ValueError."""
+    p = 1.0 - alpha / (2.0 * cells)
+    if p >= 1.0:
+        raise ValueError(f"alpha = {alpha!r} leaves no finite Bonferroni "
+                         f"quantile over {cells} cells")
+    return NormalDist().inv_cdf(p)
+
+
 def _products(d_p: np.ndarray, x: np.ndarray, values: np.ndarray):
     """d_p * psi_j for each of TEST_FUNCTIONS in turn, one (N, M) array at a
     time, each path-major as d_p is, whatever the layout of psi_j."""
@@ -118,7 +129,7 @@ def martingale_test(sample: ProcessSample, ensemble: PathEnsemble,
                  np.where(stat > 0, np.inf, -np.inf))
     np.divide(stat, se, out=z, where=se > 0.0)
 
-    threshold = NormalDist().inv_cdf(1.0 - alpha / (2.0 * len(TEST_FUNCTIONS) * m))
+    threshold = bonferroni_quantile(alpha, len(TEST_FUNCTIONS) * m)
     max_abs_z = float(np.abs(z).max())
     return MartingaleTestReport(
         j_labels=TEST_FUNCTIONS, statistic=stat, std_error=se, z=z, m_used=m,

@@ -1,9 +1,9 @@
 """The acceptance battery: nine property checks at desk scale.
 
 Each criterion function returns a dict with a boolean "passed" and enough
-detail to diagnose a failure.  Each (case, resolution, seed) ensemble is
-simulated once per run and dropped after the last criterion that reads it.
-The battery is deterministic given the scale (N, M, seed, alpha).
+detail to diagnose a failure.  The ``SHARED`` ensembles are simulated once
+per run and dropped after their last read; any other is simulated where it
+is read.  The battery is deterministic given the scale (N, M, seed, alpha).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from . import catalog
 from .action import criticality_report, criticality_tables, default_dictionary
 from .engine import WIENER_SEED_OFFSET, ProcessSample, simulate_pu, simulate_wiener
 from .girsanov import action_entropy_identity, log_density_pu, mean_with_error
-from .martingale import martingale_test, richardson_bias_probe
+from .martingale import (TEST_FUNCTIONS, bonferroni_quantile, martingale_test,
+                         richardson_bias_probe)
 from .noether import (el_process, get_generator, noether_process_general,
                       noether_rotation_closed_form, symmetry_check)
 
@@ -37,36 +38,46 @@ class SuiteScale:
                 "alpha": self.alpha}
 
 
-def _reads(scale: SuiteScale) -> dict:
-    """The cache keys each criterion reads, by criterion number."""
-    n, m, seed = scale.n_paths, scale.steps, scale.seed
-    tg, lo, frozen = (("pu", name, n, m, seed) for name in
-                      ("taylor_green", "lamb_oseen", "frozen_taylor_green"))
-    return {2: [tg, lo, frozen],
-            4: [("wiener", n, m, seed + WIENER_SEED_OFFSET), tg, lo],
-            5: [tg], 6: [lo], 7: [lo, ("pu", "lamb_oseen", n, m // 2, seed + 71)]}
+# Cases whose ensemble at the suite's scale several criteria read: the readers
+SHARED = {"taylor_green": (2, 4, 5), "lamb_oseen": (2, 4, 6, 7)}
+
+# Criterion 8 tests NULL_RUNS Wiener ensembles of NULL_SCALE = (N, M), the i-th
+# at seed + NULL_SEED_OFFSET + i: the battery's largest seeds
+NULL_SCALE, NULL_RUNS, NULL_SEED_OFFSET = (2000, 50), 100, 1000
+MAX_SEED_OFFSET = NULL_SEED_OFFSET + NULL_RUNS - 1
+
+
+def largest_family(steps: int) -> int:
+    """Cells in the battery's largest Bonferroni family at M = steps: 6 M for
+    the martingale tests, at least criterion 8's 6 * 50 (criterion 3 has 9)."""
+    return len(TEST_FUNCTIONS) * max(steps, NULL_SCALE[1])
+
+
+def _check_scale(scale: SuiteScale) -> None:
+    """Refuse a scale a criterion would fail on midway: a seed the criteria
+    offset past 2**64, or an alpha with no finite Bonferroni quantile."""
+    if not 0 <= scale.seed < 2**64 - MAX_SEED_OFFSET:
+        raise ValueError(f"seed must lie in [0, 2**64 - {MAX_SEED_OFFSET})")
+    bonferroni_quantile(scale.alpha, largest_family(scale.steps))
 
 
 class _EnsembleCache(dict):
-    """Ensembles for the criteria numbered in ``plan``, each forgotten after
-    its last planned read (``_reads``); a key outside the plan is not kept."""
+    """The shared ensembles of the criteria numbered in ``plan``, keyed by
+    case name and read as ``cache(name)``; each is forgotten after its last
+    planned read, and a read outside the plan is not kept."""
 
     def __init__(self, scale: SuiteScale, plan=()):
         super().__init__()
-        self.planned = Counter(key for i in plan for key in _reads(scale).get(i, ()))
+        self.scale = scale
+        self.planned = Counter(name for name, readers in SHARED.items()
+                               for i in plan if i in readers)
 
-    def pu(self, case_name, n, m, seed):
-        return self._serve(("pu", case_name, n, m, seed))
-
-    def wiener(self, n, m, seed):
-        return self._serve(("wiener", n, m, seed))
-
-    def _serve(self, key):
-        if key not in self:
-            self[key] = (simulate_wiener(*key[1:]) if key[0] == "wiener" else
-                         simulate_pu(catalog.get_case(key[1]), *key[2:]))
-        self.planned[key] -= 1
-        return self[key] if self.planned[key] > 0 else self.pop(key)
+    def __call__(self, name):
+        if name not in self:
+            self[name] = simulate_pu(catalog.get_case(name), self.scale.n_paths,
+                                     self.scale.steps, self.scale.seed)
+        self.planned[name] -= 1
+        return self[name] if self.planned[name] > 0 else self.pop(name)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +117,7 @@ def criterion_2_el_dichotomy(scale: SuiteScale, cache: _EnsembleCache) -> dict:
     details = {}
     ok = True
     for name in ("taylor_green", "lamb_oseen"):
-        ens = cache.pu(name, scale.n_paths, scale.steps, scale.seed)
+        ens = cache(name)
         proc = el_process(catalog.get_case(name), ens)
         comp_reports = [martingale_test(proc.component(i), ens, alpha=scale.alpha)
                         for i in range(3)]
@@ -125,8 +136,9 @@ def criterion_2_el_dichotomy(scale: SuiteScale, cache: _EnsembleCache) -> dict:
             "ok": passed and probe_ok,
         }
         ok = ok and passed and probe_ok
-    ens = cache.pu("frozen_taylor_green", scale.n_paths, scale.steps, scale.seed)
-    proc = el_process(catalog.get_case("frozen_taylor_green"), ens)
+    frozen = catalog.get_case("frozen_taylor_green")
+    ens = simulate_pu(frozen, scale.n_paths, scale.steps, scale.seed)
+    proc = el_process(frozen, ens)
     reports = [martingale_test(proc.component(i), ens, alpha=scale.alpha)
                for i in range(3)]
     max_z = max(r.max_abs_z for r in reports)
@@ -198,11 +210,10 @@ def criterion_4_action_entropy(scale: SuiteScale, cache: _EnsembleCache) -> dict
         "residual_plus": rep["residual_plus"].value, "ok": zero_ok,
     }
     ok = zero_ok
-    wiener = cache.wiener(scale.n_paths, scale.steps, scale.seed + WIENER_SEED_OFFSET)
+    wiener = simulate_wiener(scale.n_paths, scale.steps, scale.seed + WIENER_SEED_OFFSET)
     for name in ("taylor_green", "lamb_oseen"):
         case = catalog.get_case(name)
-        rep = action_entropy_identity(
-            case, cache.pu(name, scale.n_paths, scale.steps, scale.seed), wiener)
+        rep = action_entropy_identity(case, cache(name), wiener)
         norm = mean_with_error(np.exp(log_density_pu(case, wiener)))
         norm_ok = abs(norm.value - 1.0) <= 3.0 * norm.std_error
         case_ok = rep["identity_holds"] and norm_ok
@@ -225,7 +236,7 @@ def criterion_5_translation_noether(scale: SuiteScale, cache: _EnsembleCache) ->
     case = catalog.get_case("taylor_green")
     gen = get_generator("translation_e3")
     gate = symmetry_check(case, gen)
-    ens = cache.pu("taylor_green", scale.n_paths, scale.steps, scale.seed)
+    ens = cache("taylor_green")
     momentum = noether_process_general(case, ens, gen)
     u, x = case.velocity.eval, ens.positions      # v_3 one time slice at a time
     consistent = all(np.array_equal(momentum.values[:, k], -u(1.0 - t, x[:, k])[:, 2])
@@ -256,7 +267,7 @@ def criterion_6_rotation_noether(scale: SuiteScale, cache: _EnsembleCache) -> di
     ablation without the curl compensator fails loudly."""
     case = catalog.get_case("lamb_oseen")
     gate = symmetry_check(case, get_generator("rotation_e3"))
-    ens = cache.pu("lamb_oseen", scale.n_paths, scale.steps, scale.seed)
+    ens = cache("lamb_oseen")
     full = martingale_test(noether_rotation_closed_form(case, ens), ens,
                            alpha=scale.alpha)
     ablated = martingale_test(
@@ -274,9 +285,7 @@ def criterion_6_rotation_noether(scale: SuiteScale, cache: _EnsembleCache) -> di
             }}
 
 
-def _bracket_gaps(scale: SuiteScale, cache: _EnsembleCache, steps: int, seed: int):
-    case = catalog.get_case("lamb_oseen")
-    ens = cache.pu("lamb_oseen", scale.n_paths, steps, seed)
+def _bracket_gaps(case, ens):
     gen = noether_process_general(case, ens, get_generator("rotation_e3"))
     closed = noether_rotation_closed_form(case, ens)
     diff = gen.values - closed.values
@@ -291,8 +300,10 @@ def criterion_7_bracket_convergence(scale: SuiteScale, cache: _EnsembleCache) ->
     """Empirical bracket vs analytic compensator: the mean absolute gap obeys
     the 5/M envelope, and the mean-square gap (the estimator's noise energy,
     the part with a definite refinement rate) halves from M/2 to M."""
-    fine = _bracket_gaps(scale, cache, scale.steps, scale.seed)
-    coarse = _bracket_gaps(scale, cache, scale.steps // 2, scale.seed + 71)
+    case = catalog.get_case("lamb_oseen")
+    fine = _bracket_gaps(case, cache("lamb_oseen"))
+    coarse = _bracket_gaps(case, simulate_pu(case, scale.n_paths, scale.steps // 2,
+                                             scale.seed + 71))
     envelope_ok = fine["mean_abs"] <= 5.0 / scale.steps
     ratio = coarse["mean_square"] / fine["mean_square"]
     ratio_ok = 1.6 <= ratio <= 2.6
@@ -309,11 +320,11 @@ def criterion_7_bracket_convergence(scale: SuiteScale, cache: _EnsembleCache) ->
 
 def criterion_8_statistical_soundness(scale: SuiteScale, cache: _EnsembleCache) -> dict:
     """Size and power of the martingale test over repeated seeded runs."""
-    n, m, runs = 2000, 50, 100
+    (n, m), runs = NULL_SCALE, NULL_RUNS
     false_rejections = 0
     drift_rejections = 0
     for i in range(runs):
-        ens = simulate_wiener(n, m, scale.seed + 1000 + i)
+        ens = simulate_wiener(n, m, scale.seed + NULL_SEED_OFFSET + i)
         brownian = ProcessSample(ens.grid, ens.positions[:, :, 0], "brownian_1")
         if not martingale_test(brownian, ens, alpha=scale.alpha).passed:
             false_rejections += 1
@@ -393,6 +404,7 @@ def run_criterion(index: int, scale: SuiteScale,
                   cache: _EnsembleCache | None = None) -> dict:
     """Run one criterion (1-based index) at the given scale."""
     _check_indices([index])
+    _check_scale(scale)
     if cache is None:
         cache = _EnsembleCache(scale, [index])
     return CRITERIA[index - 1](scale, cache)
@@ -403,6 +415,7 @@ def run_suite(scale: SuiteScale | None = None, only=None) -> dict:
     scale = scale or SuiteScale()
     selected = sorted(set(only)) if only else range(1, len(CRITERIA) + 1)
     _check_indices(selected)
+    _check_scale(scale)
     cache = _EnsembleCache(scale, selected)
     results = [CRITERIA[i - 1](scale, cache) for i in selected]
     return {"scale": scale.to_dict(),

@@ -1,7 +1,7 @@
 """Acceptance battery at the default desk scale: N = 50,000 paths, M = 200
 steps, seed 7, alpha = 0.01.  One test per criterion, each printing a
-PASS/FAIL line; ensembles are shared across criteria through a module cache
-planned for all nine criteria, so each is simulated once.
+PASS/FAIL line; the shared ensembles go through a module cache planned for
+all nine criteria, so each is simulated once.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.  Every test here is marked slow, so `pytest -m "not slow"`

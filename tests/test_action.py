@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagrangeflow import (FlowCase, PressureField, action_derivative_analytic,
+from lagrangeflow import (FlowCase, PerturbationField, PressureField,
+                          VelocityField, action_derivative_analytic,
                           action_derivative_fd, action_derivatives_fd,
                           case_names, default_dictionary, drift_process,
                           gated_tanh_perturbation, get_case,
@@ -404,3 +405,54 @@ def test_least_action_needs_two_paths():
     case = get_case("zero_flow")
     with pytest.raises(ValueError, match="N >= 2"):
         least_action_check(case, simulate_pu(case, 1, 4, 1))
+
+
+def test_unknown_perturbation_kind_refused(tg_ensemble):
+    with pytest.raises(ValueError, match="unknown perturbation kind 'spiral'"):
+        PerturbationField("spiral", "spiral_e1", direction=E1).profile(tg_ensemble)
+
+
+def _uniform_flow(speed=0.3):
+    """u = (speed, 0, 0) with p = 0: an exact solution (zero residual) whose
+    drift is one constant, so each deterministic probe reads the same value
+    on every path."""
+    def zeros3(t, x):
+        return np.zeros_like(x)
+
+    def u(t, x):
+        return np.broadcast_to([speed, 0.0, 0.0], x.shape).copy()
+
+    velocity = VelocityField(u, zeros3, lambda t, x: np.zeros(x.shape[:-1] + (3, 3)),
+                             zeros3, bound=speed)
+    pressure = PressureField(lambda t, x: np.zeros(x.shape[:-1]), zeros3, bound=1e-12)
+    return FlowCase("uniform_flow", velocity, pressure, is_exact_solution=True)
+
+
+def test_zero_variance_estimate_takes_an_infinite_z_of_its_own_sign():
+    table = np.array([[0.5] * 4, [-0.5] * 4, [0.0] * 4])
+    entries = [sine_perturbation(E1, "up"), sine_perturbation(E2, "down"),
+               sine_perturbation(E3, "flat")]
+    report = criticality_report(entries, table)
+    assert [row["z"] for row in report["entries"]] == [np.inf, -np.inf, 0.0]
+    assert report["max_abs_z"] == np.inf and report["verdict"] == "not critical"
+    # on a uniform flow sine_e1 reads the same negative value on every path
+    case = _uniform_flow()
+    assert catalog.probe_residuals(case)["max_abs_residual"] == 0.0
+    (row,) = least_action_check(case, simulate_pu(case, 1000, 50, SEED),
+                                dictionary=[sine_perturbation(E1)])["entries"]
+    assert row["std_error"] == 0.0 and row["estimate"] < 0.0
+    assert row["z"] == -np.inf
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "both estimators shift the drift by eps * hdot(t_k) at the left point, "
+    "while the Euler increments of X + eps h shift by eps (h_{k+1} - h_k); "
+    "sum_k hdot(t_k) dt is pi/M for a sine and 1/M for a bump, not "
+    "h(1) - h(0) = 0, so a constant drift reads -0.3 pi/M and -0.3/M"))
+def test_least_action_finds_a_uniform_flow_critical():
+    # a constant drift with p = 0: every deterministic probe's derivative is 0
+    case = _uniform_flow()
+    report = least_action_check(case, simulate_pu(case, 1000, 50, SEED))
+    by_label = {row["h"]: row["estimate"] for row in report["entries"]}
+    assert abs(by_label["sine_e1"]) <= 1e-12 and abs(by_label["bump_e1"]) <= 1e-12
+    assert report["verdict"] == "critical"

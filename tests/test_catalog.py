@@ -12,7 +12,7 @@ from scipy import integrate, interpolate, special
 import lagrangeflow
 from lagrangeflow import (case_names, fd_residual_oracle, get_case,
                           make_lamb_oseen, make_zero_flow, ns_residual,
-                          probe_grid, probe_residuals)
+                          probe_grid, probe_residuals, rotated_case)
 from lagrangeflow.catalog import _G, _G_TABLE, _h, _load_table
 
 TABLE = Path(lagrangeflow.__file__).with_name("pressure_profile.npy")
@@ -260,6 +260,13 @@ def test_rotated_variant_varies_along_e3():
     speed = np.linalg.norm(case.velocity.eval(0.2, x))
     assert speed == pytest.approx(
         np.linalg.norm(base.velocity.eval(0.2, x @ perm)), abs=1e-14)
+
+
+@pytest.mark.parametrize("rot", [2.0 * np.eye(3), np.ones((3, 3)), np.eye(2)],
+                         ids=["scaled", "singular", "2x2"])
+def test_rotated_case_refuses_a_non_orthogonal_matrix(rot):
+    with pytest.raises(ValueError, match="orthogonal"):
+        rotated_case(get_case("taylor_green"), rot, "skewed")
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -5,7 +5,7 @@ import functools
 
 import pytest
 
-from lagrangeflow import cli
+from lagrangeflow import cli, suite
 from lagrangeflow.cli import main
 
 from conftest import threads
@@ -219,6 +219,49 @@ def test_removed_eps_option_exit_2(tmp_path):
     assert len(err.splitlines()) == 1
     code, _, _ = run_cli(["least-action", "--case", "zero_flow"] + SMALL)
     assert code == 0
+
+
+TOP = 2**64 - 1
+
+
+@pytest.mark.parametrize("argv, field", [
+    # action simulates its Wiener companion at seed + 1
+    (["action", "--case", "zero_flow", "--seed", str(TOP)], "'seed'"),
+    # the battery simulates at seeds up to seed + 1099 (criterion 8)
+    (["suite", "--only", "7", "--seed", str(TOP)], "'seed'"),
+    (["suite", "--only", "1", "--seed", str(TOP - 1098)], "'seed'"),
+    # 1 - alpha / (2 cells) rounds to 1: 6 M cells, the dictionary's 9, and
+    # at least criterion 8's 300 for the battery
+    (["el-test", "--case", "zero_flow", "--alpha", "1e-17"], "'alpha'"),
+    (["el-test", "--case", "zero_flow", "--M", "200", "--alpha", "1.2e-13"], "'alpha'"),
+    (["least-action", "--case", "zero_flow", "--alpha", "1e-17"], "'alpha'"),
+    (["noether", "--case", "lamb_oseen", "--generator", "rotation_e3",
+      "--alpha", "1e-17"], "'alpha'"),
+    (["suite", "--only", "1", "--alpha", "1e-14"], "'alpha'"),
+], ids=["action_seed", "suite_seed", "suite_seed_offset", "el_test_alpha",
+        "el_test_alpha_M200", "least_action_alpha", "noether_alpha", "suite_alpha"])
+def test_seeds_and_alphas_out_of_reach_exit_2_before_any_work(argv, field,
+                                                              monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module in (cli, suite):
+        monkeypatch.setattr(module, "simulate_pu", no_work)
+        monkeypatch.setattr(module, "simulate_wiener", no_work)
+    monkeypatch.setattr(cli.catalog, "probe_residuals", no_work)
+    code, out, err = run_cli([*argv[:1], "--N", "10", "--M", "4", *argv[1:]])
+    assert code == 2 and out == "" and field in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_seeds_and_alphas_just_in_reach_run():
+    tiny = ["--N", "10", "--M", "4"]
+    for argv in (["action", "--case", "zero_flow", "--seed", str(TOP - 1)],
+                 ["el-test", "--case", "zero_flow", "--seed", str(TOP)],
+                 ["el-test", "--case", "zero_flow", "--M", "200", "--alpha", "1.4e-13"],
+                 ["suite", "--only", "1", "--seed", str(TOP - 1099)]):
+        code, out, _ = run_cli([*argv[:1], *tiny, *argv[1:]])
+        assert code == 0 and json.loads(out)["results"], argv
 
 
 def test_usage_errors_exit_2_with_one_line():

@@ -377,6 +377,20 @@ def test_ensemble_file_with_foreign_noise_rejected(tmp_path, tg_ensemble):
         load_ensemble(path)
 
 
+def test_foreign_and_overlong_headers_rejected(tmp_path, wiener_ensemble):
+    path = tmp_path / "w.lgf"
+    dump_ensemble(wiener_ensemble, path)
+    data = path.read_bytes()
+    path.write_bytes(b"NPY1" + data[4:])
+    with pytest.raises(ValueError, match="not a lagrangeflow ensemble file"):
+        load_ensemble(path)
+    # a tag length that reaches past the end of the file
+    too_long = (len(data) - 35).to_bytes(8, "little")
+    path.write_bytes(data[:20] + too_long + data[28:])
+    with pytest.raises(ValueError, match="ends inside its header"):
+        load_ensemble(path)
+
+
 def test_truncated_process_file_rejected(tmp_path, tg_ensemble):
     case = get_case("taylor_green")
     sample = drift_process(case, tg_ensemble)

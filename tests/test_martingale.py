@@ -7,7 +7,7 @@ import pytest
 from lagrangeflow import (covariation, get_case, martingale_test,
                           richardson_bias_probe, simulate_pu, simulate_wiener)
 from lagrangeflow.engine import BLOCK_PATHS, GridMismatchError, ProcessSample
-from lagrangeflow.martingale import CLIP_SQ_AT
+from lagrangeflow.martingale import CLIP_SQ_AT, TEST_FUNCTIONS, bonferroni_quantile
 from lagrangeflow.noether import el_process
 
 from conftest import M_SMALL, N_SMALL, SEED
@@ -191,6 +191,17 @@ class TestCovariation:
             covariation(brownian_component(wiener_ensemble),
                         brownian_component(other))
 
+    def test_vector_sample_refused(self, wiener_ensemble):
+        vector = ProcessSample(wiener_ensemble.grid, wiener_ensemble.positions, "x")
+        with pytest.raises(ValueError, match="scalar samples"):
+            covariation(vector, brownian_component(wiener_ensemble))
+
+    def test_samples_of_different_n_refused(self, wiener_ensemble):
+        fewer = simulate_wiener(100, M_SMALL, 0)
+        with pytest.raises(ValueError, match="different size"):
+            covariation(brownian_component(wiener_ensemble),
+                        brownian_component(fewer))
+
 
 class TestRichardsonProbe:
     def test_brownian_is_noise_dominated(self):
@@ -212,3 +223,21 @@ class TestRichardsonProbe:
         probe = richardson_bias_probe(builder, 50, seed=SEED)
         assert probe["flag"] == "resolved"
         assert 0.5 <= probe["ratio"] <= 1.5
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 1e-6, 1.4e-13])
+@pytest.mark.parametrize("steps", [2, 50, 200])
+def test_bonferroni_quantile_is_the_tests_threshold_bit_for_bit(alpha, steps):
+    # the expressions martingale_test and criticality_report wrote inline
+    cells = len(TEST_FUNCTIONS) * steps
+    want = NormalDist().inv_cdf(1.0 - alpha / (2.0 * len(TEST_FUNCTIONS) * steps))
+    assert bonferroni_quantile(alpha, cells) == want
+    assert bonferroni_quantile(alpha, 9) == NormalDist().inv_cdf(1.0 - alpha / (2.0 * 9))
+
+
+def test_bonferroni_quantile_refuses_an_alpha_that_rounds_away():
+    # 1 - alpha / (2 cells) == 1.0 has no finite quantile
+    for alpha, cells in ((1e-17, 9), (1.2e-13, 1200)):
+        with pytest.raises(ValueError, match="alpha"):
+            bonferroni_quantile(alpha, cells)
+    assert np.isfinite(bonferroni_quantile(1.4e-13, 1200))

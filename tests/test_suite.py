@@ -8,13 +8,17 @@ import pytest
 
 from lagrangeflow import suite
 from lagrangeflow.engine import BLOCK_PATHS
-from lagrangeflow.suite import (SuiteScale, _EnsembleCache, _reads,
+from lagrangeflow.suite import (SHARED, SuiteScale, _EnsembleCache,
                                 run_criterion, run_suite)
 
-# N above criterion 4's 4000-path zero-flow ensembles, whose Wiener companion
-# would otherwise share a key with the cached Wiener ensemble
+# N above criterion 4's 4000-path zero-flow ensemble, so its runs take the
+# min(N, 4000) branch as at desk scale
 TOY = SuiteScale(n_paths=4096, steps=8, seed=5, alpha=0.01)
 CACHED = range(2, 8)    # criteria 1, 3, 8 and 9 read no cached ensemble
+
+
+def _reads(index):
+    return [name for name, readers in SHARED.items() if index in readers]
 
 
 class _RecordingCache(_EnsembleCache):
@@ -22,32 +26,33 @@ class _RecordingCache(_EnsembleCache):
         super().__init__(scale, plan)
         self.requested = []
 
-    def _serve(self, key):
-        self.requested.append(key)
-        return super()._serve(key)
+    def __call__(self, name):
+        self.requested.append(name)
+        return super().__call__(name)
 
 
 @pytest.mark.parametrize("index", range(1, 8))
 def test_each_criterion_reads_its_planned_keys(index):
     cache = _RecordingCache(TOY)
     run_criterion(index, TOY, cache)
-    assert Counter(cache.requested) == Counter(_reads(TOY).get(index, ()))
+    assert Counter(cache.requested) == Counter(_reads(index))
     if index == 3:      # criterion 3 simulates its own paths piece by piece
-        assert cache.requested == [] and 3 not in _reads(TOY)
+        assert cache.requested == []
 
 
 def test_cache_forgets_each_key_after_its_last_planned_read():
-    key = ("pu", "taylor_green", TOY.n_paths, TOY.steps, TOY.seed)
     cache = _EnsembleCache(TOY, [2, 5])     # each reads Taylor-Green once
-    first = cache.pu(*key[1:])
-    assert key in cache
-    assert cache.pu(*key[1:]) is first
-    assert key not in cache
-    unplanned = cache.pu(*key[1:])
-    assert unplanned is not first and key not in cache
+    first = cache("taylor_green")
+    assert list(cache) == ["taylor_green"]
+    assert first.positions.shape == (TOY.n_paths, TOY.steps + 1, 3)
+    assert cache("taylor_green") is first
+    assert "taylor_green" not in cache
+    unplanned = cache("taylor_green")
+    assert unplanned is not first and "taylor_green" not in cache
 
 
 def test_suite_simulates_each_planned_key_once(monkeypatch):
+    # the shared ensembles once per run, and no other ensemble twice
     made = Counter()
     simulate_pu, simulate_wiener = suite.simulate_pu, suite.simulate_wiener
 
@@ -62,8 +67,8 @@ def test_suite_simulates_each_planned_key_once(monkeypatch):
     monkeypatch.setattr(suite, "simulate_pu", count_pu)
     monkeypatch.setattr(suite, "simulate_wiener", count_wiener)
     report = run_suite(TOY, only=list(CACHED))
-    planned = {key for i in CACHED for key in _reads(TOY).get(i, ())}
-    assert {key: made[key] for key in planned} == dict.fromkeys(planned, 1)
+    shared = {("pu", name, TOY.n_paths, TOY.steps, TOY.seed) for name in SHARED}
+    assert shared <= set(made) and set(made.values()) == {1}
     separate = [run_criterion(i, TOY) for i in CACHED]
     assert (json.dumps(report["criteria"], sort_keys=True)
             == json.dumps(separate, sort_keys=True))
@@ -98,3 +103,28 @@ def test_criterion_numbers_outside_1_to_9_are_refused(index, monkeypatch):
         with pytest.raises(ValueError, match="from 1 to 9"):
             run_suite(TOY, only=only)
     assert ran == []
+
+
+@pytest.mark.parametrize("scale", [
+    SuiteScale(n_paths=64, steps=4, seed=2**64 - 1099),   # criterion 8: + 1099
+    SuiteScale(n_paths=64, steps=4, seed=-1),
+    SuiteScale(n_paths=64, steps=4, alpha=1e-14),   # over criterion 8's 300 cells
+    SuiteScale(n_paths=64, steps=200, alpha=1.2e-13),   # over 6 M = 1200 cells
+], ids=["seed_past_2**64", "negative_seed", "alpha_criterion_8", "alpha_6M"])
+def test_scales_a_criterion_would_fail_on_are_refused_first(scale, monkeypatch):
+    ran = []
+    monkeypatch.setattr(suite, "CRITERIA", tuple(
+        lambda scale, cache, i=i: ran.append(i) for i in range(1, 10)))
+    with pytest.raises(ValueError, match="seed|alpha"):
+        run_criterion(1, scale)
+    with pytest.raises(ValueError, match="seed|alpha"):
+        run_suite(scale, only=[1, 9])
+    assert ran == []
+
+
+@pytest.mark.parametrize("index", [8, 9])
+def test_criteria_8_and_9_pass_at_their_fixed_scale(index):
+    # neither reads N or M: criterion 8 tests 100 Wiener ensembles and
+    # criterion 9 runs six commands, all at N = 2000, M = 50
+    result = run_criterion(index, SuiteScale(seed=7))
+    assert result["passed"], result["details"]
