@@ -21,13 +21,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import (PathEnsemble, TimeGrid, pu_tag, replay_pieces,
-                     walk_pieces)
+from .engine import PathEnsemble, TimeGrid, replay_pieces, walk_pieces
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_error
 from .martingale import bonferroni_quantile
 
-_EPS_RANGE = (1e-4, 1e-1)
+FD_EPS = 1e-2       # the finite-difference oracle's step along each probe
 
 
 @dataclass(frozen=True)
@@ -48,13 +47,13 @@ class PerturbationField:
     gate: Optional[Callable[[Array], Array]] = None
     energy_bound: float = 0.0
 
-    def profile(self, ensemble: PathEnsemble):
-        """(base, dbase, weight) with h_k = base[k] * weight, hdot_k = dbase[k] * weight.
+    def profile(self, times: Array, x: Array):
+        """(base, dbase, weight) with h_k = base[k] * weight, hdot_k = dbase[k] * weight
+        on the grid times (M+1,) of the time-major positions x, (M+1, P, 3).
 
         base and dbase have shape (M+1,); weight is (1, 3) for deterministic
-        kinds and the per-path gate value (N, 3) for the gated kind.
+        kinds and the per-path gate value (P, 3) for the gated kind.
         """
-        times = ensemble.grid.times
         if self.kind == "deterministic_sine":
             base = np.sin(np.pi * times)
             base[0] = base[-1] = 0.0
@@ -63,13 +62,13 @@ class PerturbationField:
             return times * (1.0 - times), 1.0 - 2.0 * times, self.direction[None, :]
         if self.kind == "adapted_gated":
             a = self.activation
-            k_a = int(np.floor(a * ensemble.grid.steps))
+            k_a = int(np.floor(a * (len(times) - 1)))
             on = times >= a
             phase = np.pi * (times - a) / (1.0 - a)
             base = np.where(on, np.sin(phase), 0.0)
             base[-1] = 0.0
             dbase = np.where(on, np.pi / (1.0 - a) * np.cos(phase), 0.0)
-            return base, dbase, self.gate(ensemble.positions[:, k_a, :])
+            return base, dbase, self.gate(x[k_a])
         raise ValueError(f"unknown perturbation kind {self.kind!r}")
 
     def realize(self, ensemble: PathEnsemble):
@@ -78,7 +77,8 @@ class PerturbationField:
         Returns arrays broadcastable to (N, M+1, 3); deterministic kinds
         yield a singleton path axis.
         """
-        base, dbase, weight = self.profile(ensemble)
+        base, dbase, weight = self.profile(ensemble.grid.times,
+                                           ensemble.positions.transpose(1, 0, 2))
         weight = weight[:, None, :]
         return base[None, :, None] * weight, dbase[None, :, None] * weight
 
@@ -135,26 +135,24 @@ def stochastic_action(case: FlowCase, ensemble: PathEnsemble) -> EstimateWithErr
     return mean_with_error(action_per_path(case, ensemble))
 
 
-def _tables(case: FlowCase, grid: TimeGrid, n_paths: int, dictionary: list,
-            kernels, pieces) -> Array:
-    """One (J, N) per-path table per kernel, from kernel(rows, v, profiles, out)
+def _tables(grid: TimeGrid, n_paths: int, dictionary: list, kernels, pieces) -> Array:
+    """One (J, N) per-path table per kernel, from kernel(x, v, profiles, out)
     on each piece pieces(visit) hands out (``walk_pieces`` or ``replay_pieces``);
-    v is the piece's drift for k < M, (P, M, 3), and out the piece's (J, P)
-    slice.  No entry depends on its piece."""
+    x is the piece's time-major positions, (M+1, P, 3), v its drift for k < M,
+    (P, M, 3), and out the piece's (J, P) slice.  No entry depends on its piece."""
     tables = np.empty((len(kernels), len(dictionary), n_paths))
 
     def visit(lo, x, v):
-        rows = PathEnsemble(grid, x.transpose(1, 0, 2), pu_tag(case), 0)
-        profiles = [h.profile(rows) for h in dictionary]
+        profiles = [h.profile(grid.times, x) for h in dictionary]
         for kernel, table in zip(kernels, tables):
-            kernel(rows, v, profiles, table[:, lo:lo + rows.n_paths])
+            kernel(x, v, profiles, table[:, lo:lo + x.shape[1]])
 
     pieces(visit)
     return tables
 
 
 def _analytic_kernel(case: FlowCase, grid: TimeGrid):
-    """kernel(rows, v, profiles, out): per-path sum_k (<v_k, hdot_k>
+    """kernel(x, v, profiles, out): per-path sum_k (<v_k, hdot_k>
     - <grad p(1 - t_k, X_k), h_k>) dt of a piece into out, (J, P).
 
     The piece adds grad p for k < M, the shape of v, and a few (P, M) arrays.
@@ -163,16 +161,16 @@ def _analytic_kernel(case: FlowCase, grid: TimeGrid):
     """
     grad_p, times, m, dt = case.pressure.gradient, grid.times, grid.steps, grid.dt
 
-    def kernel(rows, v, profiles, out):
+    def kernel(x, v, profiles, out):
         gp = np.empty_like(v)
         for k in range(m):
-            gp[:, k] = grad_p(1.0 - times[k], rows.positions[:, k])
+            gp[:, k] = grad_p(1.0 - times[k], x[k])
         # a component with a zero weight column adds +-0 terms to sums that
         # start at +0, which leaves every bit as it is; a non-finite v or
         # grad p would add nan there instead, so then every component is added
         finite = np.isfinite(v).all() and np.isfinite(gp).all()
         for (base, dbase, weight), row in zip(profiles, out):
-            kinetic, potential = np.zeros((2, rows.n_paths, m))
+            kinetic, potential = np.zeros((2, len(v), m))
             for j in range(3):
                 if finite and not weight[:, j].any():
                     continue
@@ -183,9 +181,9 @@ def _analytic_kernel(case: FlowCase, grid: TimeGrid):
     return kernel
 
 
-def _fd_kernel(case: FlowCase, grid: TimeGrid, eps: float):
-    """kernel(rows, v, profiles, out): per-path central difference of the
-    pushforward action of a piece into out, (J, P).
+def _fd_kernel(case: FlowCase, grid: TimeGrid):
+    """kernel(x, v, profiles, out): per-path central difference of the
+    pushforward action of a piece into out, (J, P), at step FD_EPS.
 
     The path map omega -> omega + eps*h moves positions to X + eps*h and the
     drift process to v + eps*hdot.  The piece stacks the shifted drifts and
@@ -194,13 +192,11 @@ def _fd_kernel(case: FlowCase, grid: TimeGrid, eps: float):
     is evaluated afresh at every shifted position: this is the independent
     check on the analytic derivative and reads nothing from it.
     """
-    if not _EPS_RANGE[0] <= eps <= _EPS_RANGE[1]:
-        raise ValueError(f"eps must lie in {_EPS_RANGE}")
     p, times, m, dt = case.pressure.eval, grid.times, grid.steps, grid.dt
-    shifts = np.array([eps, -eps])[:, None, None]
+    shifts = np.array([FD_EPS, -FD_EPS])[:, None, None]
 
-    def kernel(rows, v, profiles, out):
-        x, b, probes = rows.positions, rows.n_paths, len(profiles)
+    def kernel(x, v, profiles, out):
+        b, probes = len(v), len(profiles)
         base, dbase = np.array([prof[:2] for prof in profiles]).swapaxes(0, 1)
         weight = np.array([np.broadcast_to(w, (b, 3)) for _, _, w in profiles])
         h_k = np.empty_like(weight)
@@ -215,7 +211,7 @@ def _fd_kernel(case: FlowCase, grid: TimeGrid, eps: float):
             vs += np.ascontiguousarray(v[:, k])    # one gather, not one per row
             np.multiply(base[:, k, None, None], weight, out=h_k)
             np.multiply(h_k[:, None], shifts, out=xs)
-            xs += x[:, k]
+            xs += x[k]
             vk = vs.reshape(probes * 2, b, 3)
             # |vs|^2 / 2 - p, |vs|^2 summed in the order .sum(axis=-1) uses
             np.square(vk[..., 0], out=term)
@@ -224,59 +220,54 @@ def _fd_kernel(case: FlowCase, grid: TimeGrid, eps: float):
             term *= 0.5
             term -= p(1.0 - times[k], xs.reshape(probes * 2, b, 3))
             acc += term
-        out[:] = (acc[0::2] * dt - acc[1::2] * dt) / (2.0 * eps)
+        out[:] = (acc[0::2] * dt - acc[1::2] * dt) / (2.0 * FD_EPS)
 
     return kernel
 
 
-def _analytic_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list) -> Array:
-    """Per-path sum_k (<v_k, hdot_k> - <grad p(1 - t_k, X_k), h_k>) dt, (J, N)."""
-    return _tables(case, ensemble.grid, ensemble.n_paths, dictionary,
-                   [_analytic_kernel(case, ensemble.grid)],
-                   lambda visit: replay_pieces(case, ensemble, visit))[0]
-
-
-def _fd_table(case: FlowCase, ensemble: PathEnsemble, dictionary: list,
-              eps: float) -> Array:
-    """Per-path central differences of the pushforward action, (J, N)."""
-    return _tables(case, ensemble.grid, ensemble.n_paths, dictionary,
-                   [_fd_kernel(case, ensemble.grid, eps)],
+def _replayed_table(kernel, case: FlowCase, ensemble: PathEnsemble,
+                    dictionary: list) -> Array:
+    """The (J, N) table of ``kernel(case, grid)`` (``_analytic_kernel`` or
+    ``_fd_kernel``) on a stored ensemble's replayed pieces."""
+    return _tables(ensemble.grid, ensemble.n_paths, dictionary,
+                   [kernel(case, ensemble.grid)],
                    lambda visit: replay_pieces(case, ensemble, visit))[0]
 
 
 def action_derivative_analytic(case: FlowCase, ensemble: PathEnsemble,
                                h: PerturbationField) -> EstimateWithError:
     """First-order action derivative E[sum (<v, hdot> - <grad p, h>) dt]."""
-    return mean_with_error(_analytic_table(case, ensemble, [h])[0])
+    return mean_with_error(_replayed_table(_analytic_kernel, case, ensemble, [h])[0])
 
 
-def action_derivatives_fd(case: FlowCase, ensemble: PathEnsemble, dictionary: list,
-                          eps: float = 1e-2) -> list:
+def action_derivatives_fd(case: FlowCase, ensemble: PathEnsemble,
+                          dictionary: list) -> list:
     """Central-difference derivatives of the pushforward action, one per probe.
 
     The difference quotient uses common random numbers, so only the genuinely
-    nonlinear (pressure) part contributes O(eps^2) error.  Each path point
+    nonlinear (pressure) part contributes O(FD_EPS^2) error.  Each path point
     sees u once, and p once per probe and sign.
     """
-    return [mean_with_error(row) for row in _fd_table(case, ensemble, dictionary, eps)]
+    return [mean_with_error(row)
+            for row in _replayed_table(_fd_kernel, case, ensemble, dictionary)]
 
 
 def action_derivative_fd(case: FlowCase, ensemble: PathEnsemble,
-                         h: PerturbationField, eps: float = 1e-2) -> EstimateWithError:
+                         h: PerturbationField) -> EstimateWithError:
     """``action_derivatives_fd`` for the single probe h."""
-    return action_derivatives_fd(case, ensemble, [h], eps)[0]
+    return action_derivatives_fd(case, ensemble, [h])[0]
 
 
 def criticality_tables(case: FlowCase, n_paths: int, steps: int, seed: int,
-                       dictionary: list, eps: float = 1e-2):
-    """The analytic and finite-difference (J, N) tables of ``_analytic_table``
-    and ``_fd_table`` on ``simulate_pu(case, n_paths, steps, seed)``, from its
-    walked pieces without the ensemble.  Both kernels read the drift the walk
+                       dictionary: list):
+    """The analytic and finite-difference (J, N) tables that ``_replayed_table``
+    gives on ``simulate_pu(case, n_paths, steps, seed)``, from its walked
+    pieces without the ensemble.  Both kernels read the drift the walk
     computed, so u is evaluated once per path point; the FD kernel still
     evaluates p at its own shifted points."""
     grid = TimeGrid(steps)
-    return tuple(_tables(case, grid, n_paths, dictionary,
-                         [_analytic_kernel(case, grid), _fd_kernel(case, grid, eps)],
+    return tuple(_tables(grid, n_paths, dictionary,
+                         [_analytic_kernel(case, grid), _fd_kernel(case, grid)],
                          lambda visit: walk_pieces(case, n_paths, steps, seed, visit)))
 
 
@@ -310,4 +301,5 @@ def least_action_check(case: FlowCase, ensemble: PathEnsemble,
     max |z| stays under the two-sided Bonferroni quantile at level alpha.
     """
     entries = dictionary if dictionary is not None else default_dictionary()
-    return criticality_report(entries, _analytic_table(case, ensemble, entries), alpha)
+    table = _replayed_table(_analytic_kernel, case, ensemble, entries)
+    return criticality_report(entries, table, alpha)

@@ -30,7 +30,7 @@ from .engine import (WIENER_SEED_OFFSET, simulate_pu, simulate_wiener,
                      worker_count)
 from .girsanov import action_entropy_identity
 from .martingale import TEST_FUNCTIONS, bonferroni_quantile, martingale_test
-from .noether import (UnknownGeneratorError, get_generator, el_process,
+from .noether import (UnknownGeneratorError, get_generator, el_reports,
                       noether_process_general, noether_rotation_closed_form,
                       symmetry_check)
 from .suite import MAX_SEED_OFFSET, largest_family
@@ -88,7 +88,7 @@ _OPTIONS = {
     "N": _Option(int, 50000, _SIMULATING),
     "M": _Option(int, 200, _SIMULATING),
     "seed": _Option(int, 7, _SIMULATING),
-    "alpha": _Option(float, 0.01, _SIMULATING),
+    "alpha": _Option(float, 0.01, ("el-test", "least-action", "noether", "suite")),
     "generator": _Option(str, None, ("noether",)),
     "dictionary": _Option(str, "default", ("least-action",), sorted(DICTIONARIES)),
     "grid": _Option(int, 5, ("residual",)),
@@ -215,9 +215,7 @@ def _cmd_residual(cfg):
 def _cmd_el_test(cfg):
     case = _require_case(cfg)
     ensemble = simulate_pu(case, cfg["N"], cfg["M"], cfg["seed"])
-    process = el_process(case, ensemble)
-    components = [martingale_test(process.component(i), ensemble,
-                                  alpha=cfg["alpha"]).to_dict() for i in range(3)]
+    components = [r.to_dict() for r in el_reports(case, ensemble, cfg["alpha"])]
     verdict = "pass" if all(c["verdict"] == "pass" for c in components) else "fail"
     return {"case": cfg["case"], "components": components, "verdict": verdict,
             "max_abs_z": max(c["max_abs_z"] for c in components)}, 0
@@ -274,7 +272,7 @@ def _cmd_suite(cfg):
     scale = SuiteScale(n_paths=cfg["N"], steps=cfg["M"],
                        seed=cfg["seed"], alpha=cfg["alpha"])
     only = None
-    if cfg["only"]:
+    if cfg["only"] is not None:
         try:
             only = [int(tok) for tok in cfg["only"].split(",")]
         except ValueError:

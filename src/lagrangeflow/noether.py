@@ -33,6 +33,7 @@ from .engine import (PathEnsemble, ProcessSample, drift_process, drift_slice,
                      pu_tag, require_tag)
 from .fields import Array, FlowCase
 from .catalog import probe_grid
+from .martingale import martingale_test
 
 SYMMETRY_GATE_TOL = 1e-6
 
@@ -108,6 +109,13 @@ def el_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
         running = gp if k == 0 else running + gp            # cumsum's order
         values[:, k + 1] += running
     return ProcessSample(grid, values, f"el({case.name})")
+
+
+def el_reports(case: FlowCase, ensemble: PathEnsemble, alpha: float) -> list:
+    """The martingale test of each component of ``el_process(case, ensemble)``."""
+    process = el_process(case, ensemble)
+    return [martingale_test(process.component(i), ensemble, alpha=alpha)
+            for i in range(3)]
 
 
 def noether_process_general(case: FlowCase, ensemble: PathEnsemble,

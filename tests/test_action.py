@@ -16,8 +16,8 @@ from lagrangeflow import (FlowCase, PerturbationField, PressureField,
                           sine_perturbation, stochastic_action)
 
 from lagrangeflow import catalog, suite
-from lagrangeflow.action import (_analytic_table, _fd_table, criticality_report,
-                                 criticality_tables)
+from lagrangeflow.action import (FD_EPS, _analytic_kernel, _fd_kernel, _replayed_table,
+                                 criticality_report, criticality_tables)
 from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS
 
 from conftest import SEED, threads as _threads
@@ -84,13 +84,14 @@ def test_fd_matches_analytic_everywhere(name):
     ens = simulate_pu(case, 1500, 60, SEED + 2)
     for entry in default_dictionary():
         a = action_derivative_analytic(case, ens, entry)
-        f = action_derivative_fd(case, ens, entry, eps=1e-2)
+        f = action_derivative_fd(case, ens, entry)
         tol = 3.0 * np.hypot(a.std_error, f.std_error) + 1e-4
         assert abs(a.value - f.value) <= tol, entry.label
 
 
-def _per_probe_fd(case, ensemble, h, eps):
+def _per_probe_fd(case, ensemble, h):
     # the per-probe oracle: full drift array, then one shifted action per sign
+    eps = FD_EPS
     x = ensemble.positions
     grid = ensemble.grid
     times = grid.times
@@ -118,11 +119,11 @@ def test_fd_over_dictionary_equals_per_probe_loop(name, fixture, request):
     case = get_case(name)
     ens = request.getfixturevalue(fixture)
     dictionary = default_dictionary()
-    together = action_derivatives_fd(case, ens, dictionary, eps=1e-2)
+    together = action_derivatives_fd(case, ens, dictionary)
     assert len(together) == len(dictionary) == 9
     for h, est in zip(dictionary, together):
-        assert est == _per_probe_fd(case, ens, h, 1e-2), h.label
-        assert action_derivative_fd(case, ens, h, eps=1e-2) == est, h.label
+        assert est == _per_probe_fd(case, ens, h), h.label
+        assert action_derivative_fd(case, ens, h) == est, h.label
 
 
 def _counting_case(case, points, calls=None):
@@ -224,11 +225,12 @@ def test_analytic_table_adds_every_component_of_a_non_finite_drift(tg_ensemble):
     dictionary = default_dictionary()
     hit = (tg_ensemble.positions[:, :-1, 0] > cut).any(axis=1)
     planar = [i for i, h in enumerate(dictionary) if h.label[-2:] in ("e1", "e2")]
-    table = _analytic_table(bad, tg_ensemble, dictionary)
+    table = _replayed_table(_analytic_kernel, bad, tg_ensemble, dictionary)
     assert hit.any() and len(planar) == 4
     assert np.isnan(table[np.ix_(planar, hit)]).all()
     assert np.array_equal(table[:, ~hit],
-                          _analytic_table(case, tg_ensemble, dictionary)[:, ~hit])
+                          _replayed_table(_analytic_kernel, case, tg_ensemble,
+                                          dictionary)[:, ~hit])
 
 
 @pytest.mark.parametrize("estimator", [least_action_check, action_derivatives_fd])
@@ -290,8 +292,8 @@ def test_streamed_tables_equal_the_ensemble_estimators(n, name, m, seed):
     dictionary = default_dictionary()
     with _threads("1"):
         ens = simulate_pu(case, n, m, seed)
-        want = (_analytic_table(case, ens, dictionary),
-                _fd_table(case, ens, dictionary, 1e-2))
+        want = tuple(_replayed_table(kernel, case, ens, dictionary)
+                     for kernel in (_analytic_kernel, _fd_kernel))
         if n >= 2:
             check = least_action_check(case, ens, dictionary)
             fd = action_derivatives_fd(case, ens, dictionary)
@@ -330,16 +332,8 @@ def test_fd_exact_for_locally_quadratic_pressure(zero_ensemble):
     case = get_case("zero_flow")
     h = sine_perturbation(E1)
     a = action_derivative_analytic(case, zero_ensemble, h)
-    f = action_derivative_fd(case, zero_ensemble, h, eps=5e-2)
+    f = action_derivative_fd(case, zero_ensemble, h)
     assert abs(a.value - f.value) <= 1e-12
-
-
-def test_fd_eps_validation(tg_ensemble):
-    case = get_case("taylor_green")
-    h = sine_perturbation(E1)
-    for bad in (0.0, 1e-5, 0.5):
-        with pytest.raises(ValueError):
-            action_derivative_fd(case, tg_ensemble, h, eps=bad)
 
 
 def test_derivative_linear_in_h(tg_ensemble):
@@ -409,7 +403,7 @@ def test_least_action_needs_two_paths():
 
 def test_unknown_perturbation_kind_refused(tg_ensemble):
     with pytest.raises(ValueError, match="unknown perturbation kind 'spiral'"):
-        PerturbationField("spiral", "spiral_e1", direction=E1).profile(tg_ensemble)
+        PerturbationField("spiral", "spiral_e1", direction=E1).realize(tg_ensemble)
 
 
 def _uniform_flow(speed=0.3):

@@ -2,6 +2,7 @@ import io
 import json
 import contextlib
 import functools
+import os
 
 import pytest
 
@@ -195,6 +196,7 @@ def test_invalid_config_exit_2(monkeypatch, tmp_path):
             (["least-action"] + tiny + ["--config", str(tmp_path / "dict.cfg")],
              "'dictionary'"),
             (["suite", "--only", "1,x"], "'only'"),
+            (["suite", "--only", ""], "'only'"),
             (["noether"] + tiny, "'generator'")):
         code, out, err = run_cli(argv)
         assert code == 2 and out == "" and field in err, argv
@@ -266,13 +268,15 @@ def test_seeds_and_alphas_just_in_reach_run():
 
 def test_usage_errors_exit_2_with_one_line():
     # catalog and residual run no simulation, so they take no N, M, seed, alpha
-    # (values they would accept, so only the flag itself can be refused)
+    # (values they would accept, so only the flag itself can be refused), and
+    # action, which tests no Bonferroni family, takes no alpha
     no_simulation = [[*command, flag, value]
                      for command in (["catalog"], ["residual", "--case", "zero_flow"])
                      for flag, value in (("--N", "999"), ("--M", "3"),
                                          ("--seed", "3"), ("--alpha", "0.5"))]
     for argv in ([], ["el-test", "--N", "many"], ["launch"],
-                 ["least-action", "--dictionary", "huge"], *no_simulation):
+                 ["least-action", "--dictionary", "huge"],
+                 ["action", "--case", "zero_flow", "--alpha", "0.5"], *no_simulation):
         code, out, err = run_cli(argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
@@ -387,3 +391,28 @@ def test_suite_command_subset_and_exit_codes():
 
     code, _, err = run_cli(["suite", "--only", "12"])
     assert code == 2 and "criteria" in err
+
+
+@pytest.mark.parametrize("before", [None, "3"], ids=["unset", "set"])
+def test_in_process_runs_leave_the_thread_variable_as_found(before, monkeypatch):
+    # criteria 5 and 9 run the CLI in the battery's process, criterion 9 at a
+    # thread count of its own: the variable reads as before after each run,
+    # also after a run that raises
+    if before is None:
+        monkeypatch.delenv("LAGRANGEFLOW_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LAGRANGEFLOW_THREADS", before)
+    assert suite._run_cli(["catalog"], threads=8)[0] == 0
+    assert os.environ.get("LAGRANGEFLOW_THREADS") == before
+    seen = []
+
+    def failing_main(argv):
+        seen.append(os.environ.get("LAGRANGEFLOW_THREADS"))
+        raise RuntimeError("command failed")
+
+    monkeypatch.setattr(cli, "main", failing_main)
+    for threads in (8, None):
+        with pytest.raises(RuntimeError, match="command failed"):
+            suite._run_cli(["catalog"], threads)
+        assert os.environ.get("LAGRANGEFLOW_THREADS") == before
+    assert seen == ["8", before]
