@@ -33,7 +33,7 @@ from .martingale import (MartingaleTestReport, covariation, martingale_test,
                          richardson_bias_probe)
 from .noether import (GeneratorField, ROTATION_E3, TRANSLATION_E3,
                       SymmetryCheckReport, UnknownGeneratorError, el_process,
-                      get_generator, kappa, noether_process_general,
+                      get_generator, noether_process_general,
                       noether_rotation_closed_form, symmetry_check)
 from .suite import SuiteScale, run_criterion, run_suite
 

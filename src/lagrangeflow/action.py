@@ -33,48 +33,22 @@ FD_EPS = 1e-2       # the finite-difference oracle's step along each probe
 class PerturbationField:
     """Adapted perturbation with h(0) = h(1) = 0 exactly.
 
-    kind is one of {"deterministic_sine", "deterministic_bump",
-    "adapted_gated"}.  Deterministic kinds carry a direction vector; the
-    gated kind switches on at the activation time and points along a bounded
-    function of the path position at that time, so it is random but adapted.
+    ``profile(times, x)`` gives (base, dbase, weight) with h_k = base[k] *
+    weight and hdot_k = dbase[k] * weight on the grid times (M+1,) of the
+    time-major positions x, (M+1, P, 3).  base and dbase have shape (M+1,);
+    weight is (1, 3) for a deterministic direction, or a per-path (P, 3)
+    value read from x at the activation time, which keeps a random h adapted.
     ``energy_bound`` bounds sum |hdot|^2 dt.
     """
 
-    kind: str
     label: str
-    direction: Optional[Array] = None
-    activation: Optional[float] = None
-    gate: Optional[Callable[[Array], Array]] = None
-    energy_bound: float = 0.0
-
-    def profile(self, times: Array, x: Array):
-        """(base, dbase, weight) with h_k = base[k] * weight, hdot_k = dbase[k] * weight
-        on the grid times (M+1,) of the time-major positions x, (M+1, P, 3).
-
-        base and dbase have shape (M+1,); weight is (1, 3) for deterministic
-        kinds and the per-path gate value (P, 3) for the gated kind.
-        """
-        if self.kind == "deterministic_sine":
-            base = np.sin(np.pi * times)
-            base[0] = base[-1] = 0.0
-            return base, np.pi * np.cos(np.pi * times), self.direction[None, :]
-        if self.kind == "deterministic_bump":
-            return times * (1.0 - times), 1.0 - 2.0 * times, self.direction[None, :]
-        if self.kind == "adapted_gated":
-            a = self.activation
-            k_a = int(np.floor(a * (len(times) - 1)))
-            on = times >= a
-            phase = np.pi * (times - a) / (1.0 - a)
-            base = np.where(on, np.sin(phase), 0.0)
-            base[-1] = 0.0
-            dbase = np.where(on, np.pi / (1.0 - a) * np.cos(phase), 0.0)
-            return base, dbase, self.gate(x[k_a])
-        raise ValueError(f"unknown perturbation kind {self.kind!r}")
+    profile: Callable[[Array, Array], tuple]
+    energy_bound: float
 
     def realize(self, ensemble: PathEnsemble):
         """Evaluate (h, hdot) on the ensemble grid.
 
-        Returns arrays broadcastable to (N, M+1, 3); deterministic kinds
+        Returns arrays broadcastable to (N, M+1, 3); deterministic probes
         yield a singleton path axis.
         """
         base, dbase, weight = self.profile(ensemble.grid.times,
@@ -88,24 +62,43 @@ class PerturbationField:
 
 def sine_perturbation(direction: Array, label: str = "") -> PerturbationField:
     c = np.asarray(direction, dtype=float)
-    return PerturbationField("deterministic_sine", label or f"sine{tuple(c)}",
-                             direction=c,
-                             energy_bound=1.5 * np.pi**2 * float(c @ c))
+
+    def profile(times, x):
+        base = np.sin(np.pi * times)
+        base[0] = base[-1] = 0.0
+        return base, np.pi * np.cos(np.pi * times), c[None, :]
+
+    return PerturbationField(label or f"sine{tuple(c)}", profile,
+                             1.5 * np.pi**2 * float(c @ c))
 
 
 def bump_perturbation(direction: Array, label: str = "") -> PerturbationField:
     c = np.asarray(direction, dtype=float)
-    return PerturbationField("deterministic_bump", label or f"bump{tuple(c)}",
-                             direction=c, energy_bound=1.5 * float(c @ c))
+
+    def profile(times, x):
+        return times * (1.0 - times), 1.0 - 2.0 * times, c[None, :]
+
+    return PerturbationField(label or f"bump{tuple(c)}", profile, 1.5 * float(c @ c))
 
 
 def gated_tanh_perturbation(activation: float, label: str = "") -> PerturbationField:
+    """Switches on at the activation time a and points along tanh of the path
+    position there."""
     if not 0.0 < activation < 1.0:
         raise ValueError("activation time must lie in (0, 1)")
-    return PerturbationField(
-        "adapted_gated", label or f"gated_tanh(a={activation})",
-        activation=activation, gate=np.tanh,
-        energy_bound=4.5 * (np.pi / (1.0 - activation)) ** 2)
+    a = activation
+
+    def profile(times, x):
+        k_a = int(np.floor(a * (len(times) - 1)))
+        on = times >= a
+        phase = np.pi * (times - a) / (1.0 - a)
+        base = np.where(on, np.sin(phase), 0.0)
+        base[-1] = 0.0
+        dbase = np.where(on, np.pi / (1.0 - a) * np.cos(phase), 0.0)
+        return base, dbase, np.tanh(x[k_a])
+
+    return PerturbationField(label or f"gated_tanh(a={activation})", profile,
+                             4.5 * (np.pi / (1.0 - activation)) ** 2)
 
 
 def deterministic_dictionary() -> list:

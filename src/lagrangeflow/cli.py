@@ -268,7 +268,7 @@ def _cmd_noether(cfg):
 
 
 def _cmd_suite(cfg):
-    from .suite import CRITERIA, SuiteScale, run_suite
+    from .suite import CRITERIA, SuiteScale, least_scale, run_suite
     scale = SuiteScale(n_paths=cfg["N"], steps=cfg["M"],
                        seed=cfg["seed"], alpha=cfg["alpha"])
     only = None
@@ -279,6 +279,9 @@ def _cmd_suite(cfg):
             raise ConfigError("only", "expected comma-separated criterion numbers") from None
         if any(not 1 <= i <= len(CRITERIA) for i in only):
             raise ConfigError("only", f"criteria run from 1 to {len(CRITERIA)}")
+    for key, least in least_scale(only or range(1, len(CRITERIA) + 1)).items():
+        if cfg[key] < least:
+            raise ConfigError(key, f"must be >= {least} for the selected criteria")
     report = run_suite(scale, only=only)
     return report, 0 if report["passed"] else EXIT_SUITE_FAIL
 

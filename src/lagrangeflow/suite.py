@@ -53,12 +53,26 @@ def largest_family(steps: int) -> int:
     return len(TEST_FUNCTIONS) * max(steps, NULL_SCALE[1])
 
 
-def _check_scale(scale: SuiteScale) -> None:
+def least_scale(selected) -> dict:
+    """The least N and M every selected criterion runs at: criteria 2-7
+    simulate and take standard errors over paths, so N >= 2 and M >= 2, and
+    criteria 2 and 7 also simulate at M // 2, so M >= 4."""
+    simulating = any(2 <= i <= 7 for i in selected)
+    return {"N": 2 if simulating else 1,
+            "M": 4 if {2, 7} & set(selected) else 2 if simulating else 1}
+
+
+def _check_scale(scale: SuiteScale, selected) -> None:
     """Refuse a scale a criterion would fail on midway: a seed the criteria
-    offset past 2**64, or an alpha with no finite Bonferroni quantile."""
+    offset past 2**64, an alpha with no finite Bonferroni quantile, or an N
+    or M below ``least_scale(selected)``."""
     if not 0 <= scale.seed < 2**64 - MAX_SEED_OFFSET:
         raise ValueError(f"seed must lie in [0, 2**64 - {MAX_SEED_OFFSET})")
     bonferroni_quantile(scale.alpha, largest_family(scale.steps))
+    least = least_scale(selected)
+    for key, value in (("N", scale.n_paths), ("M", scale.steps)):
+        if value < least[key]:
+            raise ValueError(f"{key} must be >= {least[key]} for the selected criteria")
 
 
 class _EnsembleCache(dict):
@@ -377,7 +391,7 @@ def run_criterion(index: int, scale: SuiteScale,
                   cache: _EnsembleCache | None = None) -> dict:
     """Run one criterion (1-based index) at the given scale."""
     _check_indices([index])
-    _check_scale(scale)
+    _check_scale(scale, [index])
     if cache is None:
         cache = _EnsembleCache(scale, [index])
     return CRITERIA[index - 1](scale, cache)
@@ -388,7 +402,7 @@ def run_suite(scale: SuiteScale | None = None, only=None) -> dict:
     scale = scale or SuiteScale()
     selected = sorted(set(only)) if only else range(1, len(CRITERIA) + 1)
     _check_indices(selected)
-    _check_scale(scale)
+    _check_scale(scale, selected)
     cache = _EnsembleCache(scale, selected)
     results = [CRITERIA[i - 1](scale, cache) for i in selected]
     return {"scale": scale.to_dict(),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagrangeflow import (FlowCase, PerturbationField, PressureField,
+from lagrangeflow import (FlowCase, PressureField,
                           VelocityField, action_derivative_analytic,
                           action_derivative_fd, action_derivatives_fd,
                           case_names, default_dictionary, drift_process,
@@ -26,10 +26,10 @@ E1, E2, E3 = np.eye(3)
 
 
 def test_default_dictionary_size_and_labels():
-    entries = default_dictionary()
-    assert len(entries) >= 9
-    kinds = {e.kind for e in entries}
-    assert kinds == {"deterministic_sine", "deterministic_bump", "adapted_gated"}
+    labels = [e.label for e in default_dictionary()]
+    assert labels == ["sine_e1", "sine_e2", "sine_e3", "bump_e1", "bump_e2",
+                      "bump_e3", "gated_tanh(a=0.25)", "gated_tanh(a=0.5)",
+                      "gated_tanh(a=0.75)"]
 
 
 @pytest.mark.parametrize("entry", default_dictionary(),
@@ -399,11 +399,6 @@ def test_least_action_needs_two_paths():
     case = get_case("zero_flow")
     with pytest.raises(ValueError, match="N >= 2"):
         least_action_check(case, simulate_pu(case, 1, 4, 1))
-
-
-def test_unknown_perturbation_kind_refused(tg_ensemble):
-    with pytest.raises(ValueError, match="unknown perturbation kind 'spiral'"):
-        PerturbationField("spiral", "spiral_e1", direction=E1).realize(tg_ensemble)
 
 
 def _uniform_flow(speed=0.3):

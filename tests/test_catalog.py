@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, interpolate, special
 
 import lagrangeflow
-from lagrangeflow import (case_names, fd_residual_oracle, get_case,
-                          make_lamb_oseen, make_zero_flow, ns_residual,
-                          probe_grid, probe_residuals, rotated_case)
+from lagrangeflow import (ROTATION_E3, TRANSLATION_E3, case_names,
+                          fd_residual_oracle, get_case, make_lamb_oseen,
+                          make_zero_flow, ns_residual, probe_grid,
+                          probe_residuals, rotated_case, symmetry_check)
 from lagrangeflow.catalog import _G, _G_TABLE, _h, _load_table
 
 TABLE = Path(lagrangeflow.__file__).with_name("pressure_profile.npy")
@@ -267,6 +269,26 @@ def test_rotated_variant_varies_along_e3():
 def test_rotated_case_refuses_a_non_orthogonal_matrix(rot):
     with pytest.raises(ValueError, match="orthogonal"):
         rotated_case(get_case("taylor_green"), rot, "skewed")
+
+
+@pytest.mark.parametrize("name", ["taylor_green", "lamb_oseen"])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rotated_case_keeps_exact_solutions_exact(name, seed):
+    # an orthogonal matrix: Q of the QR factorisation of a Gaussian draw
+    rot, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    diag = probe_residuals(rotated_case(get_case(name), rot, f"{name}_conjugated"))
+    assert diag["max_abs_residual"] <= 1e-5
+    assert diag["max_abs_divergence"] <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.1, 2.5])
+def test_lamb_oseen_turned_about_e3_keeps_both_symmetries(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    case = rotated_case(get_case("lamb_oseen"), rot, "lamb_oseen_turned")
+    assert symmetry_check(case, TRANSLATION_E3).within_gate
+    assert symmetry_check(case, ROTATION_E3).within_gate
 
 
 def test_importing_the_cli_loads_no_scipy():

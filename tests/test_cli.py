@@ -240,8 +240,13 @@ TOP = 2**64 - 1
     (["noether", "--case", "lamb_oseen", "--generator", "rotation_e3",
       "--alpha", "1e-17"], "'alpha'"),
     (["suite", "--only", "1", "--alpha", "1e-14"], "'alpha'"),
+    # criteria 2 and 7 also simulate at M // 2, which needs M >= 4
+    (["suite", "--only", "7", "--N", "300", "--M", "3"], "'M'"),
+    (["suite", "--only", "2", "--N", "50", "--M", "3"], "'M'"),
+    (["suite", "--M", "2"], "'M'"),
 ], ids=["action_seed", "suite_seed", "suite_seed_offset", "el_test_alpha",
-        "el_test_alpha_M200", "least_action_alpha", "noether_alpha", "suite_alpha"])
+        "el_test_alpha_M200", "least_action_alpha", "noether_alpha", "suite_alpha",
+        "suite_M_criterion_7", "suite_M_criterion_2", "suite_M_all"])
 def test_seeds_and_alphas_out_of_reach_exit_2_before_any_work(argv, field,
                                                               monkeypatch):
     def no_work(*args, **kwargs):
@@ -261,7 +266,8 @@ def test_seeds_and_alphas_just_in_reach_run():
     for argv in (["action", "--case", "zero_flow", "--seed", str(TOP - 1)],
                  ["el-test", "--case", "zero_flow", "--seed", str(TOP)],
                  ["el-test", "--case", "zero_flow", "--M", "200", "--alpha", "1.4e-13"],
-                 ["suite", "--only", "1", "--seed", str(TOP - 1099)]):
+                 ["suite", "--only", "1", "--seed", str(TOP - 1099)],
+                 ["suite", "--only", "1", "--M", "2"]):
         code, out, _ = run_cli([*argv[:1], *tiny, *argv[1:]])
         assert code == 0 and json.loads(out)["results"], argv
 

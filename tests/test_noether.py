@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lagrangeflow import (GeneratorField, ROTATION_E3, TRANSLATION_E3,
-                          UnknownGeneratorError, drift_process, el_process,
-                          get_case, get_generator, kappa, martingale_test,
+                          UnknownGeneratorError, case_names, drift_process,
+                          el_process, get_case, get_generator, martingale_test,
                           noether_process_general,
                           noether_rotation_closed_form, simulate_pu,
                           symmetry_check)
@@ -25,21 +25,6 @@ def test_generator_registry():
     assert get_generator("rotation_e3") is ROTATION_E3
     with pytest.raises(UnknownGeneratorError):
         get_generator("scaling")
-
-
-def test_kappa_vanishes_for_isometries():
-    pts = np.array([[0.4, -1.0, 2.0], [0.0, 0.0, 0.0]])
-    assert np.all(kappa(TRANSLATION_E3, 0.2, pts) == 0.0)
-    # rotation has an antisymmetric gradient, so its kappa cancels too
-    assert np.all(kappa(ROTATION_E3, 0.2, pts) == 0.0)
-    stretch = GeneratorField(
-        "stretch_e1",
-        lambda t, x: np.stack([x[..., 0], np.zeros_like(x[..., 0]),
-                               np.zeros_like(x[..., 0])], axis=-1),
-        lambda t, x: np.broadcast_to(
-            np.diag([1.0, 0.0, 0.0]), x.shape[:-1] + (3, 3)))
-    k = kappa(stretch, 0.2, pts)
-    assert np.all(k[..., 0, 0] == 2.0) and abs(k).sum() == 2.0 * len(pts)
 
 
 def _peak_bytes(fn, *args):
@@ -151,7 +136,7 @@ class TestNoetherProcesses:
 
     def test_zero_generator_gives_zero_process(self, tg_ensemble):
         zero_gen = GeneratorField("null", lambda t, x: np.zeros_like(x),
-                                  lambda t, x: np.zeros(x.shape[:-1] + (3, 3)))
+                                  lambda eps, x: x)
         proc = noether_process_general(get_case("taylor_green"), tg_ensemble,
                                        zero_gen)
         assert np.all(proc.values == 0.0)
@@ -223,7 +208,20 @@ class TestSymmetryCheck:
         assert report.max_pressure_violation > SYMMETRY_GATE_TOL
         assert not report.within_gate
 
-    def test_unsupported_generator(self):
-        odd = GeneratorField("odd", lambda t, x: x, lambda t, x: x)
-        with pytest.raises(UnknownGeneratorError):
-            symmetry_check(get_case("taylor_green"), odd)
+    def test_gate_reads_a_custom_generator_flow(self):
+        e1 = np.array([1.0, 0.0, 0.0])
+        translation_e1 = GeneratorField("translation_e1",
+                                        lambda t, x: np.broadcast_to(e1, x.shape),
+                                        lambda eps, x: x + eps * e1)
+        assert symmetry_check(get_case("zero_flow"), translation_e1).within_gate
+        report = symmetry_check(get_case("taylor_green"), translation_e1)
+        assert report.max_pressure_violation > SYMMETRY_GATE_TOL
+        assert not report.within_gate
+
+    @pytest.mark.parametrize("gen", [TRANSLATION_E3, ROTATION_E3],
+                             ids=lambda g: g.name)
+    @pytest.mark.parametrize("name", case_names())
+    def test_symmetry_tags_agree_with_the_gate(self, name, gen):
+        # the tags are descriptive and the gate never reads them
+        case = get_case(name)
+        assert symmetry_check(case, gen).within_gate == (gen.name in case.symmetries)

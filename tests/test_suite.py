@@ -122,6 +122,30 @@ def test_scales_a_criterion_would_fail_on_are_refused_first(scale, monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize("n, m, only", [
+    (1, 4, [1, 2]),     # criteria 2-7 take standard errors over N >= 2 paths
+    (1, 4, [7]),
+    (10, 3, [7]),       # criteria 2 and 7 also simulate at M // 2
+    (10, 3, [1, 2]),
+    (10, 1, [3]),
+])
+def test_scales_below_what_a_selected_criterion_needs_are_refused_first(
+        n, m, only, monkeypatch):
+    ran = []
+    monkeypatch.setattr(suite, "CRITERIA", tuple(
+        lambda scale, cache, i=i: ran.append(i) or {"passed": True}
+        for i in range(1, 10)))
+    scale = SuiteScale(n_paths=n, steps=m)
+    with pytest.raises(ValueError, match="N must be >= 2|M must be >= "):
+        run_suite(scale, only=only)
+    with pytest.raises(ValueError, match="N must be >= 2|M must be >= "):
+        run_criterion(only[-1], scale)
+    assert ran == []
+    run_suite(SuiteScale(n_paths=1, steps=1), only=[1, 8, 9])
+    run_suite(SuiteScale(n_paths=2, steps=4))
+    assert ran == [1, 8, 9, *range(1, 10)]
+
+
 @pytest.mark.parametrize("index", [8, 9])
 def test_criteria_8_and_9_pass_at_their_fixed_scale(index):
     # neither reads N or M: criterion 8 tests 100 Wiener ensembles and
