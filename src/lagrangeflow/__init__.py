@@ -16,9 +16,8 @@ from .catalog import (UnknownCaseError, case_names, fd_residual_oracle,
                       make_zero_flow, ns_residual, probe_grid, probe_residuals)
 from .engine import (CapacityError, GridMismatchError, PathEnsemble,
                      ProcessSample, TagMismatchError, TimeGrid,
-                     drift_process, dump_ensemble, dump_process,
-                     load_ensemble, load_process, process_to_csv,
-                     simulate_pu, simulate_wiener, worker_count)
+                     drift_process, simulate_pu, simulate_wiener,
+                     worker_count)
 from .fields import FlowCase, PressureField, VelocityField, rotated_case
 from .girsanov import (EstimateWithError, action_entropy_identity,
                        estimate_Zp, log_density_pu, mean_with_error,
@@ -29,7 +28,7 @@ from .action import (PerturbationField, action_derivative_analytic,
                      default_dictionary, gated_tanh_perturbation,
                      least_action_check, sine_perturbation,
                      stochastic_action)
-from .martingale import (MartingaleTestReport, covariation, martingale_test,
+from .martingale import (MartingaleTestReport, martingale_test,
                          richardson_bias_probe)
 from .noether import (GeneratorField, ROTATION_E3, TRANSLATION_E3,
                       SymmetryCheckReport, UnknownGeneratorError, el_process,

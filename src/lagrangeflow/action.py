@@ -24,7 +24,7 @@ import numpy as np
 from .engine import PathEnsemble, TimeGrid, replay_pieces, walk_pieces
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_error
-from .martingale import bonferroni_quantile
+from .martingale import ZERO_MEAN_TOL, bonferroni_quantile
 
 FD_EPS = 1e-2       # the finite-difference oracle's step along each probe
 
@@ -276,7 +276,7 @@ def criticality_report(entries: list, table: Array, alpha: float = 0.01) -> dict
         if est.std_error > 0:
             z = est.value / est.std_error
         else:
-            z = 0.0 if abs(est.value) < 1e-14 else float(np.copysign(np.inf, est.value))
+            z = 0.0 if abs(est.value) < ZERO_MEAN_TOL else float(np.copysign(np.inf, est.value))
         rows.append({"h": h.label, "estimate": est.value,
                      "std_error": est.std_error, "z": z})
     max_abs_z = max(abs(r["z"]) for r in rows)

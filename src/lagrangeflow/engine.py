@@ -22,7 +22,6 @@ runtime.
 from __future__ import annotations
 
 import os
-import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ import numpy as np
 
 from .fields import Array, FlowCase
 
-_MAGIC = b"LGF1"
 _MASK64 = (1 << 64) - 1
 BLOCK_PATHS = 8192          # fixed; never derived from the worker count
 CHUNK_FLOOR = 2048          # paths per worker at the least, fixed likewise
@@ -148,10 +146,10 @@ def _alloc(shape) -> Array:
         raise CapacityError(int(np.prod(shape)) * 8) from None
 
 
-def _blocks(n_paths: int, size: int = BLOCK_PATHS) -> list:
+def _blocks(n_paths: int) -> list:
     """(block index, first path, end path) of every fixed-size path block."""
-    return [(i, lo, min(lo + size, n_paths))
-            for i, lo in enumerate(range(0, n_paths, size))]
+    return [(i, lo, min(lo + BLOCK_PATHS, n_paths))
+            for i, lo in enumerate(range(0, n_paths, BLOCK_PATHS))]
 
 
 def _run_workers(worker, n_paths: int, *shapes) -> None:
@@ -268,12 +266,6 @@ def replay_pieces(case: FlowCase, ensemble: PathEnsemble, visit) -> None:
     _run_workers(worker, n, (min(n, PIECE_PATHS), steps, 3))
 
 
-def _ensemble(grid: TimeGrid, buffer: Array, tag: str, seed: int) -> PathEnsemble:
-    """Freeze a time-major (M+1, N, 3) buffer and wrap its (N, M+1, 3) view."""
-    buffer.flags.writeable = False
-    return PathEnsemble(grid, buffer.transpose(1, 0, 2), tag, seed)
-
-
 def _simulate(case, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsemble:
     _check_scale(n_paths, steps, seed)
     buffer = _alloc((steps + 1, n_paths, 3))
@@ -282,7 +274,8 @@ def _simulate(case, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsemb
         buffer[:, lo:lo + x.shape[1]] = x
 
     walk_pieces(case, n_paths, steps, seed, copy)
-    return _ensemble(TimeGrid(steps), buffer, tag, seed)
+    buffer.flags.writeable = False
+    return PathEnsemble(TimeGrid(steps), buffer.transpose(1, 0, 2), tag, seed)
 
 
 def pu_tag(case: FlowCase) -> str:
@@ -346,103 +339,3 @@ def drift_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
         drift_slice(case, t, x[:, k], out=values[:, k])
     return ProcessSample(ensemble.grid, values, f"drift({case.name})")
 
-
-# ---------------------------------------------------------------------------
-# flat binary dump
-
-def _write_header(fh, n: int, steps: int, label: str, seed: int) -> None:
-    tag = label.encode("utf-8")
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<QQQQ", n, steps, len(tag), seed & _MASK64))
-    fh.write(tag)
-
-
-def _read_header(fh, kind: str):
-    """Check the magic and return (N, M, tag, seed, payload byte count)."""
-    size = os.fstat(fh.fileno()).st_size
-    if fh.read(4) != _MAGIC:
-        raise ValueError(f"not a lagrangeflow {kind} file")
-    head = fh.read(32)
-    if len(head) < 32:
-        raise ValueError(f"{kind} file ends inside its header")
-    n, steps, tag_len, seed = struct.unpack("<QQQQ", head)
-    if tag_len > size - 36:
-        raise ValueError(f"{kind} file ends inside its header")
-    tag = fh.read(tag_len).decode("utf-8")
-    return n, steps, tag, seed, size - 36 - tag_len
-
-
-def dump_ensemble(ensemble: PathEnsemble, path) -> None:
-    """Write the flat binary layout: magic, N, M, tag, seed, then float64 data.
-
-    Header fields are little-endian 64-bit; the measure tag is stored as a
-    64-bit byte length followed by its UTF-8 bytes.  Positions precede noise,
-    both path-major (N, M+1, 3) and (N, M, 3), written PIECE_PATHS paths at a
-    time.
-    """
-    n, steps = ensemble.n_paths, ensemble.grid.steps
-    with open(path, "wb") as fh:
-        _write_header(fh, n, steps, ensemble.measure_tag, ensemble.seed)
-        for _, lo, hi in _blocks(n, PIECE_PATHS):
-            fh.write(np.ascontiguousarray(ensemble.positions[lo:hi], dtype="<f8"))
-        for _, _, piece in _increments(ensemble.seed, steps, _blocks(n)):
-            fh.write(piece.astype("<f8", copy=False))
-
-
-def load_ensemble(path) -> PathEnsemble:
-    """Read a dump into time-major storage.
-
-    The payload must have exactly the length the header implies, and the
-    stored noise must equal the increments regenerated from the header's seed.
-    """
-    with open(path, "rb") as fh:
-        n, steps, tag, seed, payload = _read_header(fh, "ensemble")
-        grid = TimeGrid(steps)
-        expected = n * (2 * steps + 1) * 3 * 8
-        if payload != expected:
-            raise ValueError(f"ensemble file payload is {payload} bytes; "
-                             f"its header implies {expected}")
-        buffer = _alloc((steps + 1, n, 3))
-        for _, lo, hi in _blocks(n, PIECE_PATHS):
-            rows = np.frombuffer(fh.read((hi - lo) * (steps + 1) * 3 * 8), dtype="<f8")
-            buffer[:, lo:hi] = rows.reshape(hi - lo, steps + 1, 3).transpose(1, 0, 2)
-        for lo, hi, piece in _increments(seed, steps, _blocks(n)):
-            if fh.read(piece.nbytes) != piece.astype("<f8", copy=False).tobytes():
-                raise ValueError(f"stored noise of paths {lo}..{hi - 1} differs "
-                                 f"from the increments regenerated from seed {seed}")
-    return _ensemble(grid, buffer, tag, seed)
-
-
-def dump_process(sample: ProcessSample, path, seed: int = 0) -> None:
-    """Write a process sample in the same flat layout (values after header).
-
-    The width (scalar, or three components) follows from the payload size,
-    so the header stays identical to the ensemble one.
-    """
-    with open(path, "wb") as fh:
-        _write_header(fh, sample.values.shape[0], sample.grid.steps,
-                      sample.label, seed)
-        fh.write(np.ascontiguousarray(sample.values, dtype="<f8").tobytes())
-
-
-def load_process(path) -> ProcessSample:
-    with open(path, "rb") as fh:
-        n, steps, label, _seed, payload = _read_header(fh, "process")
-        grid = TimeGrid(steps)
-        scalar = n * (steps + 1) * 8
-        if payload not in (scalar, 3 * scalar):
-            raise ValueError(f"process file payload is {payload} bytes; its header "
-                             f"implies {scalar} (scalar) or {3 * scalar} (vector)")
-        data = np.frombuffer(fh.read(payload), dtype="<f8")
-    shape = (n, steps + 1) if payload == scalar else (n, steps + 1, 3)
-    return ProcessSample(grid, data.reshape(shape).copy(), label)
-
-
-def process_to_csv(sample: ProcessSample, path) -> None:
-    """CSV export: column t_k, then the ensemble-mean value(s)."""
-    times = sample.grid.times
-    mean = sample.values.mean(axis=0)
-    cols = [times] + ([mean] if mean.ndim == 1 else [mean[:, i] for i in range(3)])
-    header = "t," + ",".join(
-        ["mean"] if mean.ndim == 1 else [f"mean_{i + 1}" for i in range(3)])
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")

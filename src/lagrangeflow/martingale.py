@@ -24,7 +24,9 @@ import numpy as np
 from .engine import PathEnsemble, ProcessSample, require_same_grid
 
 CLIP_SQ_AT = 10.0
-_ZERO_MEAN_TOL = 1e-14
+# a zero-variance estimate gets z = 0 below this |mean| and an infinite z above;
+# least_action_check reads the same rule
+ZERO_MEAN_TOL = 1e-14
 # The test functions, read at the left point X_k of each cell: 1, the three
 # coordinates, the process itself, and |X_k|^2 clipped at a fixed constant so
 # heavy tails cannot destabilize the per-cell standard errors.
@@ -72,11 +74,6 @@ class MartingaleTestReport:
             },
         }
 
-    def z_matrix_csv(self, path) -> None:
-        """Rows k, columns j, for external plotting."""
-        np.savetxt(path, self.z.T, delimiter=",",
-                   header=",".join(self.j_labels), comments="")
-
 
 def bonferroni_quantile(alpha: float, cells: int) -> float:
     """The two-sided Bonferroni threshold on |z| over a family of ``cells``
@@ -104,10 +101,11 @@ def martingale_test(sample: ProcessSample, ensemble: PathEnsemble,
                     alpha: float = 0.01) -> MartingaleTestReport:
     """Bonferroni test of E[dP_k * psi_j] = 0 over all (j, k) cells.
 
-    ``sample`` must be scalar valued; vector processes are tested one
-    component at a time by the caller.  The test functions psi_j are the
-    fixed ``TEST_FUNCTIONS``, read at the left point k of each cell from the
-    ensemble's positions and the sample's values, so every one is adapted.
+    ``sample`` must be scalar valued, on the ensemble's paths and grid;
+    vector processes are tested one component at a time by the caller.  The
+    test functions psi_j are the fixed ``TEST_FUNCTIONS``, read at the left
+    point k of each cell from the ensemble's positions and the sample's
+    values, so every one is adapted.
     """
     if sample.is_vector:
         raise ValueError("martingale_test takes scalar samples; "
@@ -115,6 +113,9 @@ def martingale_test(sample: ProcessSample, ensemble: PathEnsemble,
     require_same_grid(sample, ensemble)
     values = np.asarray(sample.values, dtype=float)
     n, m = values.shape[0], sample.grid.steps
+    if n != ensemble.n_paths:
+        raise ValueError(f"the sample has {n} paths and the ensemble "
+                         f"{ensemble.n_paths}; both must come from one ensemble")
     if n < 2:
         raise ValueError("martingale_test needs N >= 2 paths for a standard error")
     # path-major increments and products, so each cell mean sums its N
@@ -125,7 +126,7 @@ def martingale_test(sample: ProcessSample, ensemble: PathEnsemble,
     for j, y in enumerate(_products(d_p, ensemble.positions[:, :m], values[:, :m])):
         stat[j] = y.mean(axis=0)
         se[j] = y.std(axis=0, ddof=1) / np.sqrt(n)
-    z = np.where(np.abs(stat) < _ZERO_MEAN_TOL, 0.0,
+    z = np.where(np.abs(stat) < ZERO_MEAN_TOL, 0.0,
                  np.where(stat > 0, np.inf, -np.inf))
     np.divide(stat, se, out=z, where=se > 0.0)
 
@@ -137,22 +138,6 @@ def martingale_test(sample: ProcessSample, ensemble: PathEnsemble,
         verdict="pass" if max_abs_z < threshold else "fail",
         final_cell_max_abs_z=float(np.abs(z[:, -1]).max()),
     )
-
-
-def covariation(a: ProcessSample, b: ProcessSample) -> ProcessSample:
-    """Pathwise running quadratic covariation sum_{j<k} dA_j dB_j.
-
-    No ensemble averaging; the result is a process sample on the same grid.
-    """
-    if a.is_vector or b.is_vector:
-        raise ValueError("covariation takes scalar samples")
-    require_same_grid(a, b)
-    if a.values.shape[0] != b.values.shape[0]:
-        raise ValueError("samples live on ensembles of different size")
-    prods = np.diff(a.values, axis=1) * np.diff(b.values, axis=1)
-    out = np.zeros_like(np.asarray(a.values, dtype=float))
-    np.cumsum(prods, axis=1, out=out[:, 1:])
-    return ProcessSample(a.grid, out, f"[{a.label},{b.label}]")
 
 
 def richardson_bias_probe(builder, steps: int, seed: int = 0,

@@ -10,11 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lagrangeflow import (CapacityError, TagMismatchError, TimeGrid,
-                          drift_process, dump_ensemble, dump_process,
-                          get_case, load_ensemble, load_process,
-                          process_to_csv, simulate_pu, simulate_wiener,
+                          drift_process, get_case, simulate_pu, simulate_wiener,
                           worker_count)
-from lagrangeflow.engine import (BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS, ProcessSample,
+from lagrangeflow.engine import (BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS,
                                  replay_pieces, walk_pieces)
 
 from conftest import M_SMALL, N_SMALL, SEED, threads
@@ -279,7 +277,7 @@ def test_simulation_preconditions():
         simulate_pu(case, 10, 1, 0)
     with pytest.raises(ValueError):
         simulate_pu(case, 10, 10, -3)
-    # the Philox key and the LGF1 header hold 64 bits; 2**64 would alias 0
+    # the Philox key holds 64 bits; 2**64 would alias 0
     with pytest.raises(ValueError):
         simulate_pu(case, 10, 10, 2**64)
 
@@ -300,40 +298,19 @@ def test_seeds_in_the_top_half_keep_their_own_streams():
         assert np.array_equal(simulate_wiener(10, 3, seed).noise, want)
 
 
-def test_ensemble_dump_round_trip(tmp_path, tg_ensemble):
-    path = tmp_path / "tg.lgf"
-    dump_ensemble(tg_ensemble, path)
-    back = load_ensemble(path)
-    assert back.measure_tag == tg_ensemble.measure_tag
-    assert back.seed == tg_ensemble.seed
-    assert np.array_equal(back.positions, tg_ensemble.positions)
-    assert np.array_equal(back.noise, tg_ensemble.noise)
-    with open(path, "rb") as fh:
-        assert fh.read(4) == b"LGF1"
-
-
-def test_dump_load_dump_keeps_file_bytes(tmp_path):
-    # three path blocks, the last one partial
-    ens = simulate_pu(get_case("lamb_oseen"), 2 * 8192 + 5, 3, 17)
-    first, second = tmp_path / "a.lgf", tmp_path / "b.lgf"
-    dump_ensemble(ens, first)
-    dump_ensemble(load_ensemble(first), second)
-    assert first.read_bytes() == second.read_bytes()
-
-
-def test_dump_bytes_are_pinned(tmp_path):
+def test_dump_bytes_are_pinned():
     # three pieces of one path block, the last of three paths; Wiener paths
-    # carry no transcendental drift, so the bytes do not depend on libm
-    path = tmp_path / "w.lgf"
-    dump_ensemble(simulate_wiener(2 * CHUNK_FLOOR + 3, 4, 7), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "13f38808730d6d15cff3b65cc64941de066734cedeeb91a8f7510e7e3563b9f1")
+    # carry no transcendental drift, so the bytes do not depend on libm.
+    # Positions, then noise, both path-major little-endian float64.
+    ens = simulate_wiener(2 * CHUNK_FLOOR + 3, 4, 7)
+    data = (np.ascontiguousarray(ens.positions, "<f8").tobytes()
+            + ens.noise.astype("<f8").tobytes())
+    assert hashlib.sha256(data).hexdigest() == (
+        "fdd37aaf05accb6437d9f6d3f2647dfd73f69e2f3a8868da9a01c5e173c275ea")
 
 
-def test_time_slices_are_contiguous(tmp_path, tg_ensemble, wiener_ensemble):
-    path = tmp_path / "tg.lgf"
-    dump_ensemble(tg_ensemble, path)
-    for ens in (tg_ensemble, wiener_ensemble, load_ensemble(path)):
+def test_time_slices_are_contiguous(tg_ensemble, wiener_ensemble):
+    for ens in (tg_ensemble, wiener_ensemble):
         assert ens.positions.shape == (N_SMALL, M_SMALL + 1, 3)
         for k in (0, M_SMALL // 2, M_SMALL):
             assert ens.positions[:, k].flags.c_contiguous
@@ -345,86 +322,6 @@ def test_noise_is_regenerated_read_only(tg_ensemble):
     assert np.array_equal(first, second)
     assert not first.flags.writeable
     assert first.shape == (N_SMALL, M_SMALL, 3)
-
-
-def _header_size(path):
-    tag_len = int.from_bytes(path.read_bytes()[20:28], "little")
-    return 36 + tag_len
-
-
-def test_ensemble_file_of_wrong_length_rejected(tmp_path, tg_ensemble):
-    path = tmp_path / "tg.lgf"
-    dump_ensemble(tg_ensemble, path)
-    data = path.read_bytes()
-    payload = len(data) - _header_size(path)
-    for delta in (-8, 8):       # truncated, padded
-        path.write_bytes(data[:-8] if delta < 0 else data + bytes(8))
-        with pytest.raises(ValueError,
-                           match=f"{payload + delta} bytes.*implies {payload}"):
-            load_ensemble(path)
-    path.write_bytes(data[:30])
-    with pytest.raises(ValueError, match="header"):
-        load_ensemble(path)
-
-
-def test_ensemble_file_with_foreign_noise_rejected(tmp_path, tg_ensemble):
-    path = tmp_path / "tg.lgf"
-    dump_ensemble(tg_ensemble, path)
-    data = bytearray(path.read_bytes())
-    data[-1] ^= 0x01            # last byte of the last stored increment
-    path.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="noise"):
-        load_ensemble(path)
-
-
-def test_foreign_and_overlong_headers_rejected(tmp_path, wiener_ensemble):
-    path = tmp_path / "w.lgf"
-    dump_ensemble(wiener_ensemble, path)
-    data = path.read_bytes()
-    path.write_bytes(b"NPY1" + data[4:])
-    with pytest.raises(ValueError, match="not a lagrangeflow ensemble file"):
-        load_ensemble(path)
-    # a tag length that reaches past the end of the file
-    too_long = (len(data) - 35).to_bytes(8, "little")
-    path.write_bytes(data[:20] + too_long + data[28:])
-    with pytest.raises(ValueError, match="ends inside its header"):
-        load_ensemble(path)
-
-
-def test_truncated_process_file_rejected(tmp_path, tg_ensemble):
-    case = get_case("taylor_green")
-    sample = drift_process(case, tg_ensemble)
-    path = tmp_path / "drift.lgf"
-    dump_process(sample, path)
-    data = path.read_bytes()
-    scalar = N_SMALL * (M_SMALL + 1) * 8
-    # a third of the vector payload missing would once reload as width 2
-    path.write_bytes(data[:_header_size(path) + 2 * scalar])
-    with pytest.raises(ValueError, match=f"{2 * scalar} bytes.*{scalar}.*{3 * scalar}"):
-        load_process(path)
-    path.write_bytes(data[:-8])
-    with pytest.raises(ValueError, match="bytes"):
-        load_process(path)
-
-
-def test_process_dump_round_trip(tmp_path, tg_ensemble):
-    case = get_case("taylor_green")
-    sample = drift_process(case, tg_ensemble)
-    path = tmp_path / "drift.lgf"
-    dump_process(sample, path, seed=tg_ensemble.seed)
-    back = load_process(path)
-    assert back.label == sample.label
-    assert np.array_equal(back.values, sample.values)
-
-    scalar = ProcessSample(sample.grid, sample.values[:, :, 0], "v1")
-    dump_process(scalar, tmp_path / "v1.lgf")
-    back = load_process(tmp_path / "v1.lgf")
-    assert back.values.shape == scalar.values.shape
-
-    process_to_csv(scalar, tmp_path / "v1.csv")
-    header, first = (tmp_path / "v1.csv").read_text().splitlines()[:2]
-    assert header == "t,mean"
-    assert float(first.split(",")[0]) == 0.0
 
 
 def test_weak_error_refinement_ratio():

@@ -4,10 +4,11 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from lagrangeflow import (covariation, get_case, martingale_test,
-                          richardson_bias_probe, simulate_pu, simulate_wiener)
+from lagrangeflow import (get_case, martingale_test, richardson_bias_probe,
+                          simulate_pu, simulate_wiener)
 from lagrangeflow.engine import BLOCK_PATHS, GridMismatchError, ProcessSample
-from lagrangeflow.martingale import CLIP_SQ_AT, TEST_FUNCTIONS, bonferroni_quantile
+from lagrangeflow.martingale import (CLIP_SQ_AT, TEST_FUNCTIONS, ZERO_MEAN_TOL,
+                                     bonferroni_quantile)
 from lagrangeflow.noether import el_process
 
 from conftest import M_SMALL, N_SMALL, SEED
@@ -70,16 +71,26 @@ def test_vector_sample_rejected(tg_ensemble):
         martingale_test(v, tg_ensemble)
 
 
-def test_report_serialization(tmp_path, wiener_ensemble):
+def test_sample_and_ensemble_must_share_paths_and_grid(wiener_ensemble):
+    # with one ensemble path, broadcasting would spread its coordinates over
+    # all 500 sample paths and the test would pass
+    sample = brownian_component(simulate_wiener(500, M_SMALL, 3))
+    for n in (1, 300):
+        with pytest.raises(ValueError, match=f"500 paths and the ensemble {n};"):
+            martingale_test(sample, simulate_wiener(n, M_SMALL, 4))
+    coarser = simulate_wiener(N_SMALL, M_SMALL // 2, 0)
+    with pytest.raises(GridMismatchError):
+        martingale_test(brownian_component(wiener_ensemble), coarser)
+    with pytest.raises(GridMismatchError):
+        martingale_test(brownian_component(coarser), wiener_ensemble)
+
+
+def test_report_serialization(wiener_ensemble):
     report = martingale_test(brownian_component(wiener_ensemble), wiener_ensemble)
     d = report.to_dict()
     assert d["J"] == 6 and d["M_used"] == M_SMALL
     assert len(d["cells"]["z"]) == 6
     assert "final_cell_max_abs_z" in d
-    report.z_matrix_csv(tmp_path / "z.csv")
-    lines = (tmp_path / "z.csv").read_text().splitlines()
-    assert lines[0].split(",") == list(report.j_labels)
-    assert len(lines) == M_SMALL + 1
 
 
 def _materialized_dictionary_cells(sample, ensemble):
@@ -99,7 +110,7 @@ def _materialized_dictionary_cells(sample, ensemble):
         positive = se[j] > 0.0
         z[j, positive] = stat[j, positive] / se[j, positive]
         dm = stat[j, ~positive]
-        z[j, ~positive] = np.where(np.abs(dm) < 1e-14, 0.0,
+        z[j, ~positive] = np.where(np.abs(dm) < ZERO_MEAN_TOL, 0.0,
                                    np.where(dm > 0, np.inf, -np.inf))
     return stat, se, z
 
@@ -137,70 +148,6 @@ def test_scratch_is_four_path_arrays(wiener_ensemble):
     finally:
         tracemalloc.stop()
     assert peak <= 4.1 * N_SMALL * M_SMALL * 8
-
-
-class TestCovariation:
-    def test_brownian_quadratic_variation(self, wiener_ensemble):
-        b1 = brownian_component(wiener_ensemble, 0)
-        qv = covariation(b1, b1)
-        terminal = qv.values[:, -1]
-        se = terminal.std(ddof=1) / np.sqrt(N_SMALL)
-        assert abs(terminal.mean() - 1.0) <= 3.0 * se
-
-    def test_independent_components_have_zero_bracket(self, wiener_ensemble):
-        qv = covariation(brownian_component(wiener_ensemble, 0),
-                         brownian_component(wiener_ensemble, 1))
-        terminal = qv.values[:, -1]
-        se = terminal.std(ddof=1) / np.sqrt(N_SMALL)
-        assert abs(terminal.mean()) <= 3.0 * se
-
-    def test_finite_variation_cross_bracket_vanishes(self, wiener_ensemble):
-        t_proc = ProcessSample(wiener_ensemble.grid,
-                               np.broadcast_to(wiener_ensemble.grid.times,
-                                               (N_SMALL, M_SMALL + 1)), "t")
-        qv = covariation(t_proc, brownian_component(wiener_ensemble))
-        terminal = qv.values[:, -1]
-        se = terminal.std(ddof=1) / np.sqrt(N_SMALL)
-        dt = wiener_ensemble.grid.dt
-        assert abs(terminal.mean()) <= 3.0 * se + dt
-
-    def test_symmetry_bit_exact(self, wiener_ensemble):
-        a = brownian_component(wiener_ensemble, 0)
-        b = brownian_component(wiener_ensemble, 1)
-        assert np.array_equal(covariation(a, b).values, covariation(b, a).values)
-
-    def test_power_of_two_scaling_bit_exact(self, wiener_ensemble):
-        a = brownian_component(wiener_ensemble, 0)
-        b = brownian_component(wiener_ensemble, 1)
-        doubled = ProcessSample(a.grid, 2.0 * a.values, "2a")
-        assert np.array_equal(covariation(doubled, b).values,
-                              2.0 * covariation(a, b).values)
-
-    def test_additivity_to_roundoff(self, wiener_ensemble):
-        a = brownian_component(wiener_ensemble, 0)
-        b = brownian_component(wiener_ensemble, 1)
-        c = brownian_component(wiener_ensemble, 2)
-        bc = ProcessSample(b.grid, b.values + c.values, "b+c")
-        lhs = covariation(a, bc).values
-        rhs = covariation(a, b).values + covariation(a, c).values
-        assert np.abs(lhs - rhs).max() <= 1e-12
-
-    def test_grid_mismatch(self, wiener_ensemble):
-        other = simulate_wiener(100, M_SMALL // 2, 0)
-        with pytest.raises(GridMismatchError):
-            covariation(brownian_component(wiener_ensemble),
-                        brownian_component(other))
-
-    def test_vector_sample_refused(self, wiener_ensemble):
-        vector = ProcessSample(wiener_ensemble.grid, wiener_ensemble.positions, "x")
-        with pytest.raises(ValueError, match="scalar samples"):
-            covariation(vector, brownian_component(wiener_ensemble))
-
-    def test_samples_of_different_n_refused(self, wiener_ensemble):
-        fewer = simulate_wiener(100, M_SMALL, 0)
-        with pytest.raises(ValueError, match="different size"):
-            covariation(brownian_component(wiener_ensemble),
-                        brownian_component(fewer))
 
 
 class TestRichardsonProbe:
