@@ -71,13 +71,16 @@ def test_vector_sample_rejected(tg_ensemble):
         martingale_test(v, tg_ensemble)
 
 
-def test_sample_and_ensemble_must_share_paths_and_grid(wiener_ensemble):
+def test_samples_of_different_n_refused():
     # with one ensemble path, broadcasting would spread its coordinates over
     # all 500 sample paths and the test would pass
     sample = brownian_component(simulate_wiener(500, M_SMALL, 3))
     for n in (1, 300):
         with pytest.raises(ValueError, match=f"500 paths and the ensemble {n};"):
             martingale_test(sample, simulate_wiener(n, M_SMALL, 4))
+
+
+def test_grid_mismatch(wiener_ensemble):
     coarser = simulate_wiener(N_SMALL, M_SMALL // 2, 0)
     with pytest.raises(GridMismatchError):
         martingale_test(brownian_component(wiener_ensemble), coarser)
