@@ -11,7 +11,10 @@ derivative
 A solution field makes this vanish for every admissible h; the finite
 dictionary below probes deterministic directions and genuinely random
 (gated) ones, and the finite-difference pushforward recomputes the same
-derivative from the action alone as an independent oracle.
+derivative from the action alone as an independent oracle.  The derivative
+estimators take (case, n_paths, steps, seed) and walk the paths of
+``simulate_pu(case, n_paths, steps, seed)`` piece by piece, keeping no
+ensemble.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import PathEnsemble, TimeGrid, replay_pieces, walk_pieces
+from .engine import PathEnsemble, TimeGrid, walk_pieces
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_error
 from .martingale import ZERO_MEAN_TOL, bonferroni_quantile
@@ -128,11 +131,14 @@ def stochastic_action(case: FlowCase, ensemble: PathEnsemble) -> EstimateWithErr
     return mean_with_error(action_per_path(case, ensemble))
 
 
-def _tables(grid: TimeGrid, n_paths: int, dictionary: list, kernels, pieces) -> Array:
-    """One (J, N) per-path table per kernel, from kernel(x, v, profiles, out)
-    on each piece pieces(visit) hands out (``walk_pieces`` or ``replay_pieces``);
-    x is the piece's time-major positions, (M+1, P, 3), v its drift for k < M,
-    (P, M, 3), and out the piece's (J, P) slice.  No entry depends on its piece."""
+def _tables(case: FlowCase, n_paths: int, steps: int, seed: int,
+            dictionary: list, kernels) -> Array:
+    """One (J, N) per-path table per kernel, ``_analytic_kernel`` or
+    ``_fd_kernel``, from kernel(case, grid)(x, v, profiles, out) on each piece
+    ``walk_pieces`` hands out: x is its time-major positions, (M+1, P, 3), v the
+    drift the walk used for k < M, (P, M, 3), and out its (J, P) slice."""
+    grid = TimeGrid(steps)
+    kernels = [kernel(case, grid) for kernel in kernels]
     tables = np.empty((len(kernels), len(dictionary), n_paths))
 
     def visit(lo, x, v):
@@ -140,7 +146,7 @@ def _tables(grid: TimeGrid, n_paths: int, dictionary: list, kernels, pieces) -> 
         for kernel, table in zip(kernels, tables):
             kernel(x, v, profiles, table[:, lo:lo + x.shape[1]])
 
-    pieces(visit)
+    walk_pieces(case, n_paths, steps, seed, visit)
     return tables
 
 
@@ -218,22 +224,14 @@ def _fd_kernel(case: FlowCase, grid: TimeGrid):
     return kernel
 
 
-def _replayed_table(kernel, case: FlowCase, ensemble: PathEnsemble,
-                    dictionary: list) -> Array:
-    """The (J, N) table of ``kernel(case, grid)`` (``_analytic_kernel`` or
-    ``_fd_kernel``) on a stored ensemble's replayed pieces."""
-    return _tables(ensemble.grid, ensemble.n_paths, dictionary,
-                   [kernel(case, ensemble.grid)],
-                   lambda visit: replay_pieces(case, ensemble, visit))[0]
-
-
-def action_derivative_analytic(case: FlowCase, ensemble: PathEnsemble,
-                               h: PerturbationField) -> EstimateWithError:
+def action_derivative_analytic(case: FlowCase, n_paths: int, steps: int,
+                               seed: int, h: PerturbationField) -> EstimateWithError:
     """First-order action derivative E[sum (<v, hdot> - <grad p, h>) dt]."""
-    return mean_with_error(_replayed_table(_analytic_kernel, case, ensemble, [h])[0])
+    return mean_with_error(_tables(case, n_paths, steps, seed, [h],
+                                   [_analytic_kernel])[0, 0])
 
 
-def action_derivatives_fd(case: FlowCase, ensemble: PathEnsemble,
+def action_derivatives_fd(case: FlowCase, n_paths: int, steps: int, seed: int,
                           dictionary: list) -> list:
     """Central-difference derivatives of the pushforward action, one per probe.
 
@@ -241,27 +239,23 @@ def action_derivatives_fd(case: FlowCase, ensemble: PathEnsemble,
     nonlinear (pressure) part contributes O(FD_EPS^2) error.  Each path point
     sees u once, and p once per probe and sign.
     """
-    return [mean_with_error(row)
-            for row in _replayed_table(_fd_kernel, case, ensemble, dictionary)]
+    return [mean_with_error(row) for row in
+            _tables(case, n_paths, steps, seed, dictionary, [_fd_kernel])[0]]
 
 
-def action_derivative_fd(case: FlowCase, ensemble: PathEnsemble,
+def action_derivative_fd(case: FlowCase, n_paths: int, steps: int, seed: int,
                          h: PerturbationField) -> EstimateWithError:
     """``action_derivatives_fd`` for the single probe h."""
-    return action_derivatives_fd(case, ensemble, [h])[0]
+    return action_derivatives_fd(case, n_paths, steps, seed, [h])[0]
 
 
 def criticality_tables(case: FlowCase, n_paths: int, steps: int, seed: int,
                        dictionary: list):
-    """The analytic and finite-difference (J, N) tables that ``_replayed_table``
-    gives on ``simulate_pu(case, n_paths, steps, seed)``, from its walked
-    pieces without the ensemble.  Both kernels read the drift the walk
-    computed, so u is evaluated once per path point; the FD kernel still
-    evaluates p at its own shifted points."""
-    grid = TimeGrid(steps)
-    return tuple(_tables(grid, n_paths, dictionary,
-                         [_analytic_kernel(case, grid), _fd_kernel(case, grid)],
-                         lambda visit: walk_pieces(case, n_paths, steps, seed, visit)))
+    """The analytic and finite-difference (J, N) tables from one walk: both
+    kernels read the drift the walk computed; the FD kernel still evaluates p
+    at its own shifted points."""
+    return tuple(_tables(case, n_paths, steps, seed, dictionary,
+                         [_analytic_kernel, _fd_kernel]))
 
 
 def criticality_report(entries: list, table: Array, alpha: float = 0.01) -> dict:
@@ -285,7 +279,7 @@ def criticality_report(entries: list, table: Array, alpha: float = 0.01) -> dict
             "verdict": "critical" if max_abs_z <= threshold else "not critical"}
 
 
-def least_action_check(case: FlowCase, ensemble: PathEnsemble,
+def least_action_check(case: FlowCase, n_paths: int, steps: int, seed: int,
                        dictionary: Optional[list] = None,
                        alpha: float = 0.01) -> dict:
     """Criticality verdict over a perturbation dictionary.
@@ -293,6 +287,8 @@ def least_action_check(case: FlowCase, ensemble: PathEnsemble,
     Each entry contributes z = estimate / SE; the verdict is "critical" iff
     max |z| stays under the two-sided Bonferroni quantile at level alpha.
     """
+    if n_paths < 2:
+        raise ValueError("least_action_check needs N >= 2 paths for a standard error")
     entries = dictionary if dictionary is not None else default_dictionary()
-    table = _replayed_table(_analytic_kernel, case, ensemble, entries)
+    table = _tables(case, n_paths, steps, seed, entries, [_analytic_kernel])[0]
     return criticality_report(entries, table, alpha)

@@ -108,10 +108,12 @@ def probe_residuals(case: FlowCase, n_time: int = 5, n_space: int = 5, step: flo
     for t in times:
         resid, div = ns_residual(case, float(t), points)
         fd = fd_residual_oracle(case, float(t), points, step)
-        max_resid = max(max_resid, float(np.abs(resid).max()))
-        max_div = max(max_div, float(np.abs(div).max()))
-        max_fd_gap = max(max_fd_gap, float(np.abs(resid - fd).max()))
-        min_pressure = min(min_pressure, float(case.pressure.eval(float(t), points).min()))
+        # np.maximum and np.minimum keep a nan, where max and min drop it
+        max_resid = float(np.maximum(max_resid, np.abs(resid).max()))
+        max_div = float(np.maximum(max_div, np.abs(div).max()))
+        max_fd_gap = float(np.maximum(max_fd_gap, np.abs(resid - fd).max()))
+        min_pressure = float(np.minimum(min_pressure,
+                                        case.pressure.eval(float(t), points).min()))
     return {
         "max_abs_residual": max_resid,
         "max_abs_divergence": max_div,

@@ -236,8 +236,7 @@ def _cmd_action(cfg):
 
 def _cmd_least_action(cfg):
     case = _require_case(cfg)
-    ensemble = simulate_pu(case, cfg["N"], cfg["M"], cfg["seed"])
-    report = least_action_check(case, ensemble,
+    report = least_action_check(case, cfg["N"], cfg["M"], cfg["seed"],
                                 dictionary=DICTIONARIES[cfg["dictionary"]](),
                                 alpha=cfg["alpha"])
     report["case"] = cfg["case"]

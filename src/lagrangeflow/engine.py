@@ -10,8 +10,7 @@ with the same arguments is bit-exact and independent of how many workers run
 the blocks.  Workers draw a block's increments in fixed pieces, in order,
 and walk each piece on its own; ``walk_pieces`` hands every walked piece, with
 the drift it used, to a visitor, so an estimator can read the paths without
-an ensemble, and ``replay_pieces`` hands a stored ensemble's pieces to the
-same visitor.  Ensembles store only their positions, time-major, and redraw
+an ensemble.  Ensembles store only their positions, time-major, and redraw
 the increments whenever they are asked for.
 
 Novikov's condition holds automatically for the bounded catalog fields, so
@@ -241,29 +240,6 @@ def walk_pieces(case, n_paths: int, steps: int, seed: int, visit) -> None:
 
     rows = min(n_paths, PIECE_PATHS)
     _run_workers(worker, n_paths, (rows, steps, 3), (steps + 1, rows, 3))
-
-
-def replay_pieces(case: FlowCase, ensemble: PathEnsemble, visit) -> None:
-    """visit(lo, x, v) on a stored ``simulate_pu(case, ...)`` ensemble's pieces,
-    on the workers ``walk_pieces`` would run: x is a read-only time-major (M+1,
-    P, 3) view of the stored positions and v the (P, M, 3) drifts for k < M,
-    which ``drift_slice`` writes into the worker's scratch."""
-    require_tag(ensemble, pu_tag(case))
-    n, steps, times = ensemble.n_paths, ensemble.grid.steps, ensemble.grid.times
-    lock, starts = threading.Lock(), iter(range(0, n, PIECE_PATHS))
-
-    def worker(v):
-        while True:
-            with lock:
-                lo = next(starts, None)
-            if lo is None:
-                return
-            x = ensemble.positions[lo:lo + PIECE_PATHS].transpose(1, 0, 2)
-            for k in range(steps):
-                drift_slice(case, times[k], x[k], out=v[:x.shape[1], k])
-            visit(lo, x, v[:x.shape[1]])
-
-    _run_workers(worker, n, (min(n, PIECE_PATHS), steps, 3))
 
 
 def _simulate(case, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsemble:

@@ -202,8 +202,10 @@ def symmetry_check(case: FlowCase, gen: GeneratorField) -> SymmetryCheckReport:
         s0 = np.linalg.norm(case.velocity.eval(float(t), points), axis=-1)
         for eps in eps_values:
             moved = gen.flow(eps, points)
-            p_viol = max(p_viol, float(np.abs(case.pressure.eval(float(t), moved) - p0).max()))
+            # np.maximum keeps a nan, which then fails the gate
+            p_viol = float(np.maximum(
+                p_viol, np.abs(case.pressure.eval(float(t), moved) - p0).max()))
             s1 = np.linalg.norm(case.velocity.eval(float(t), moved), axis=-1)
-            u_viol = max(u_viol, float(np.abs(s1 - s0).max()))
+            u_viol = float(np.maximum(u_viol, np.abs(s1 - s0).max()))
     desc = f"5x5x5x5 probe grid, eps in {eps_values}"
     return SymmetryCheckReport(p_viol, u_viol, desc)

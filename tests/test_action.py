@@ -16,13 +16,14 @@ from lagrangeflow import (FlowCase, PressureField,
                           sine_perturbation, stochastic_action)
 
 from lagrangeflow import catalog, suite
-from lagrangeflow.action import (FD_EPS, _analytic_kernel, _fd_kernel, _replayed_table,
+from lagrangeflow.action import (FD_EPS, _analytic_kernel, _tables,
                                  criticality_report, criticality_tables)
 from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS
 
-from conftest import SEED, threads as _threads
+from conftest import M_SMALL, N_SMALL, SEED, threads as _threads
 
 E1, E2, E3 = np.eye(3)
+SMALL = (N_SMALL, M_SMALL, SEED)    # the estimators walk the fixtures' paths
 
 
 def test_default_dictionary_size_and_labels():
@@ -62,9 +63,9 @@ def test_zero_flow_action_and_derivative_exact(zero_ensemble):
     assert est.value == pytest.approx(-0.5, abs=1e-12)
     assert est.std_error <= 1e-13
     for entry in default_dictionary():
-        d = action_derivative_analytic(case, zero_ensemble, entry)
+        d = action_derivative_analytic(case, *SMALL, entry)
         assert d.value == 0.0 and d.std_error == 0.0
-        f = action_derivative_fd(case, zero_ensemble, entry)
+        f = action_derivative_fd(case, *SMALL, entry)
         assert f.value == 0.0
 
 
@@ -81,16 +82,16 @@ def test_action_cross_checks_entropy(tg_ensemble, wiener_ensemble):
 @pytest.mark.parametrize("name", case_names())
 def test_fd_matches_analytic_everywhere(name):
     case = get_case(name)
-    ens = simulate_pu(case, 1500, 60, SEED + 2)
     for entry in default_dictionary():
-        a = action_derivative_analytic(case, ens, entry)
-        f = action_derivative_fd(case, ens, entry)
+        a = action_derivative_analytic(case, 1500, 60, SEED + 2, entry)
+        f = action_derivative_fd(case, 1500, 60, SEED + 2, entry)
         tol = 3.0 * np.hypot(a.std_error, f.std_error) + 1e-4
         assert abs(a.value - f.value) <= tol, entry.label
 
 
 def _per_probe_fd(case, ensemble, h):
-    # the per-probe oracle: full drift array, then one shifted action per sign
+    # the per-probe oracle's per-path values on a whole stored ensemble: full
+    # drift array, then one shifted action per sign
     eps = FD_EPS
     x = ensemble.positions
     grid = ensemble.grid
@@ -109,8 +110,23 @@ def _per_probe_fd(case, ensemble, h):
                     - case.pressure.eval(t_rev, xs))
         return acc * grid.dt
 
-    per_path = (shifted_action(+1.0) - shifted_action(-1.0)) / (2.0 * eps)
-    return mean_with_error(per_path)
+    return (shifted_action(+1.0) - shifted_action(-1.0)) / (2.0 * eps)
+
+
+def _analytic_reference(case, ensemble, dictionary):
+    # the analytic (J, N) table on a whole stored ensemble: per path,
+    # sum_k (<v_k, hdot_k> - <grad p(1 - t_k, X_k), h_k>) dt over k < M
+    grid, x = ensemble.grid, ensemble.positions
+    m = grid.steps
+    v = drift_process(case, ensemble).values[:, :m]
+    gp = np.stack([case.pressure.gradient(1.0 - t, x[:, k])
+                   for k, t in enumerate(grid.times[:m])], axis=1)
+    rows = []
+    for h in dictionary:
+        hv, hdv = h.realize(ensemble)
+        integrand = (v * hdv[:, :m]).sum(axis=-1) - (gp * hv[:, :m]).sum(axis=-1)
+        rows.append(integrand.sum(axis=1) * grid.dt)
+    return np.array(rows)
 
 
 @pytest.mark.parametrize("name, fixture", [("taylor_green", "tg_ensemble"),
@@ -119,11 +135,11 @@ def test_fd_over_dictionary_equals_per_probe_loop(name, fixture, request):
     case = get_case(name)
     ens = request.getfixturevalue(fixture)
     dictionary = default_dictionary()
-    together = action_derivatives_fd(case, ens, dictionary)
+    together = action_derivatives_fd(case, *SMALL, dictionary)
     assert len(together) == len(dictionary) == 9
     for h, est in zip(dictionary, together):
-        assert est == _per_probe_fd(case, ens, h), h.label
-        assert action_derivative_fd(case, ens, h) == est, h.label
+        assert est == mean_with_error(_per_probe_fd(case, ens, h)), h.label
+        assert action_derivative_fd(case, *SMALL, h) == est, h.label
 
 
 def _counting_case(case, points, calls=None):
@@ -149,14 +165,14 @@ def _counting_case(case, points, calls=None):
             gradient=counted("gradp", pressure.gradient)))
 
 
-def test_fd_evaluates_drift_once_and_pressure_per_shift(tg_ensemble):
+def test_fd_evaluates_drift_once_and_pressure_per_shift():
     # every path point sees u once, and p once per probe and sign; all
-    # probes and signs of a piece share one p call per step, as on the walk
+    # probes and signs of a piece share one p call per step
     points, calls = {}, {}
     case = _counting_case(get_case("taylor_green"), points, calls)
     dictionary = default_dictionary()
-    action_derivatives_fd(case, tg_ensemble, dictionary)
-    n, m = tg_ensemble.n_paths, tg_ensemble.grid.steps
+    action_derivatives_fd(case, *SMALL, dictionary)
+    n, m = N_SMALL, M_SMALL
     assert points == {"u": n * m, "p": 2 * m * len(dictionary) * n}
     assert calls["p"] == m * -(-n // PIECE_PATHS)
 
@@ -169,11 +185,10 @@ def test_fd_chunks_evaluate_each_point_once(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     base = get_case("taylor_green")
     n, m = 2 * CHUNK_FLOOR + 3, 6
-    ens = simulate_pu(base, n, m, SEED)
     points, calls = {}, {}
     case = _counting_case(base, points, calls)
     dictionary = default_dictionary()
-    action_derivatives_fd(case, ens, dictionary)
+    action_derivatives_fd(case, n, m, SEED, dictionary)
     assert points == {"u": n * m, "p": 2 * m * len(dictionary) * n}
     assert calls["p"] == m * -(-n // PIECE_PATHS)
 
@@ -185,27 +200,31 @@ def test_least_action_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     base = get_case("taylor_green")
     n, m = 2 * CHUNK_FLOOR + PIECE_PATHS + 1, 5
-    ens = simulate_pu(base, n, m, SEED)
     points = {}
-    least_action_check(_counting_case(base, points), ens)
+    least_action_check(_counting_case(base, points), n, m, SEED)
     assert points == {"u": n * m, "gradp": n * m}
 
 
-def test_least_action_scratch_is_a_few_path_arrays(tg_ensemble):
-    # beyond v (N, M+1, 3) and grad p (N, M, 3), the contractions may hold
-    # no more than four (N, M) float64 arrays at once
+def test_least_action_scratch_is_a_few_path_arrays():
+    # one worker: beyond the (J, N) table, a piece's positions x (M+1, P, 3),
+    # drift v (P, M, 3) and grad p (P, M, 3), and eight (P, 3) slices (one
+    # step's field values, the gate weights), the contractions may hold no
+    # more than four (P, M) float64 arrays at once, P = PIECE_PATHS
     case = get_case("taylor_green")
-    n, m = tg_ensemble.n_paths, tg_ensemble.grid.steps
-    least_action_check(case, tg_ensemble)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        least_action_check(case, tg_ensemble)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    v_bytes, gp_bytes = n * (m + 1) * 3 * 8, n * m * 3 * 8
-    assert peak < v_bytes + gp_bytes + 4 * n * m * 8
+    n, m, p = N_SMALL, M_SMALL, PIECE_PATHS
+    with _threads("1"):
+        least_action_check(case, *SMALL)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            least_action_check(case, *SMALL)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    table_bytes = len(default_dictionary()) * n * 8
+    x_bytes, v_bytes, gp_bytes = (m + 1) * p * 3 * 8, p * m * 3 * 8, p * m * 3 * 8
+    slices = 8 * p * 3 * 8
+    assert peak < table_bytes + x_bytes + v_bytes + gp_bytes + slices + 4 * p * m * 8
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -223,14 +242,14 @@ def test_analytic_table_adds_every_component_of_a_non_finite_drift(tg_ensemble):
 
     bad = dataclasses.replace(case, velocity=dataclasses.replace(case.velocity, eval=u))
     dictionary = default_dictionary()
+    # a walked path follows the fixture's until its first step past the cut
     hit = (tg_ensemble.positions[:, :-1, 0] > cut).any(axis=1)
     planar = [i for i, h in enumerate(dictionary) if h.label[-2:] in ("e1", "e2")]
-    table = _replayed_table(_analytic_kernel, bad, tg_ensemble, dictionary)
+    table = _tables(bad, *SMALL, dictionary, [_analytic_kernel])[0]
     assert hit.any() and len(planar) == 4
     assert np.isnan(table[np.ix_(planar, hit)]).all()
     assert np.array_equal(table[:, ~hit],
-                          _replayed_table(_analytic_kernel, case, tg_ensemble,
-                                          dictionary)[:, ~hit])
+                          _tables(case, *SMALL, dictionary, [_analytic_kernel])[0][:, ~hit])
 
 
 @pytest.mark.parametrize("estimator", [least_action_check, action_derivatives_fd])
@@ -241,11 +260,10 @@ def test_criterion_3_scratch_does_not_grow_with_n(estimator):
     dictionary = default_dictionary()
     peaks = []
     for n in (4 * CHUNK_FLOOR, 16 * CHUNK_FLOOR):
-        ens = simulate_pu(case, n, 50, SEED)
         with _threads("1"):
             tracemalloc.start()
             try:
-                estimator(case, ens, dictionary)
+                estimator(case, n, 50, SEED, dictionary)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -268,13 +286,12 @@ _EDGES = [e + d for e in (PIECE_PATHS, CHUNK_FLOOR, CHUNK_FLOOR + PIECE_PATHS,
        m=st.integers(2, 12), seed=st.integers(0, 2**63 - 1))
 def test_criterion_3_outputs_invariant_to_worker_count(name, n, m, seed):
     case = get_case(name)
-    ens = simulate_pu(case, n, m, seed)
     dictionary = default_dictionary()
     outputs = []
     for threads in ("1", "2", "3", "8"):
         with _threads(threads):
-            outputs.append((least_action_check(case, ens, dictionary),
-                            action_derivatives_fd(case, ens, dictionary)))
+            outputs.append((least_action_check(case, n, m, seed, dictionary),
+                            action_derivatives_fd(case, n, m, seed, dictionary)))
     for other in outputs[1:]:
         assert other == outputs[0]
 
@@ -287,23 +304,28 @@ def test_criterion_3_outputs_invariant_to_worker_count(name, n, m, seed):
        m=st.integers(2, 12), seed=st.integers(0, 2**64 - 1))
 def test_streamed_tables_equal_the_ensemble_estimators(n, name, m, seed):
     # criterion 3's tables, from simulation pieces and the drift the walk
-    # used, equal both estimators on the simulated ensemble, bit for bit
+    # used, equal per path both whole-ensemble references on the simulated
+    # ensemble, are bit-identical at every worker count, and are the tables
+    # behind both estimators
     case = get_case(name)
     dictionary = default_dictionary()
     with _threads("1"):
         ens = simulate_pu(case, n, m, seed)
-        want = tuple(_replayed_table(kernel, case, ens, dictionary)
-                     for kernel in (_analytic_kernel, _fd_kernel))
+        want = (_analytic_reference(case, ens, dictionary),
+                np.array([_per_probe_fd(case, ens, h) for h in dictionary]))
+        first = criticality_tables(case, n, m, seed, dictionary)
         if n >= 2:
-            check = least_action_check(case, ens, dictionary)
-            fd = action_derivatives_fd(case, ens, dictionary)
-    for count in ("1", "2", "3", "8"):
+            check = least_action_check(case, n, m, seed, dictionary)
+            fd = action_derivatives_fd(case, n, m, seed, dictionary)
+    for table, reference in zip(first, want):
+        assert np.abs(table - reference).max() <= 1e-12
+    for count in ("2", "3", "8"):
         with _threads(count):
             got = criticality_tables(case, n, m, seed, dictionary)
-        assert [t.tobytes() for t in got] == [t.tobytes() for t in want], count
-        if n >= 2:
-            assert criticality_report(dictionary, got[0]) == check
-            assert [mean_with_error(row) for row in got[1]] == fd
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in first], count
+    if n >= 2:
+        assert criticality_report(dictionary, first[0]) == check
+        assert [mean_with_error(row) for row in first[1]] == fd
 
 
 def test_criterion_3_evaluates_u_once_per_path_point(monkeypatch):
@@ -326,30 +348,29 @@ def test_criterion_3_evaluates_u_once_per_path_point(monkeypatch):
         {"u": n * m, "gradp": n * m, "p": 2 * m * probes * n})
 
 
-def test_fd_exact_for_locally_quadratic_pressure(zero_ensemble):
+def test_fd_exact_for_locally_quadratic_pressure():
     # constant pressure has no curvature along h, so the central difference
     # reproduces the analytic derivative up to roundoff
     case = get_case("zero_flow")
     h = sine_perturbation(E1)
-    a = action_derivative_analytic(case, zero_ensemble, h)
-    f = action_derivative_fd(case, zero_ensemble, h)
+    a = action_derivative_analytic(case, *SMALL, h)
+    f = action_derivative_fd(case, *SMALL, h)
     assert abs(a.value - f.value) <= 1e-12
 
 
-def test_derivative_linear_in_h(tg_ensemble):
+def test_derivative_linear_in_h():
     case = get_case("taylor_green")
-    d1 = action_derivative_analytic(case, tg_ensemble, sine_perturbation(E1))
-    d2 = action_derivative_analytic(case, tg_ensemble, sine_perturbation(E2))
-    dsum = action_derivative_analytic(case, tg_ensemble,
-                                      sine_perturbation(E1 + E2))
+    d1 = action_derivative_analytic(case, *SMALL, sine_perturbation(E1))
+    d2 = action_derivative_analytic(case, *SMALL, sine_perturbation(E2))
+    dsum = action_derivative_analytic(case, *SMALL, sine_perturbation(E1 + E2))
     se = np.hypot(d1.std_error, d2.std_error)
     assert abs(dsum.value - (d1.value + d2.value)) <= max(3.0 * se, 1e-12)
 
 
-def test_verdict_invariant_under_pressure_shift(tg_ensemble):
+def test_verdict_invariant_under_pressure_shift():
     base = get_case("taylor_green")
     shifted = FlowCase(
-        name=base.name,           # same measure tag, same ensemble applies
+        name=base.name,           # same velocity, so the same paths
         velocity=base.velocity,
         pressure=PressureField(
             eval=lambda t, x: base.pressure.eval(t, x) + 0.25,
@@ -358,47 +379,48 @@ def test_verdict_invariant_under_pressure_shift(tg_ensemble):
         is_exact_solution=base.is_exact_solution,
         symmetries=base.symmetries)
     for entry in default_dictionary():
-        a = action_derivative_analytic(base, tg_ensemble, entry)
-        b = action_derivative_analytic(shifted, tg_ensemble, entry)
+        a = action_derivative_analytic(base, *SMALL, entry)
+        b = action_derivative_analytic(shifted, *SMALL, entry)
         assert a.value == b.value and a.std_error == b.std_error
 
 
-def test_least_action_verdicts_small_scale(tg_ensemble, frozen_ensemble):
-    report = least_action_check(get_case("taylor_green"), tg_ensemble)
+def test_least_action_verdicts_small_scale():
+    report = least_action_check(get_case("taylor_green"), *SMALL)
     assert report["verdict"] == "critical"
     assert len(report["entries"]) >= 9
-    report = least_action_check(get_case("frozen_taylor_green"), frozen_ensemble)
+    report = least_action_check(get_case("frozen_taylor_green"), *SMALL)
     assert report["verdict"] == "not critical"
     assert report["max_abs_z"] >= 5.0
     triggering = [e for e in report["entries"] if abs(e["z"]) >= 5.0]
     assert any("gated" in e["h"] for e in triggering)
 
 
-def test_least_action_entries_equal_analytic_derivative(tg_ensemble,
-                                                        frozen_ensemble):
-    for name, ens in (("taylor_green", tg_ensemble),
-                      ("frozen_taylor_green", frozen_ensemble)):
+def test_least_action_entries_equal_analytic_derivative():
+    for name in ("taylor_green", "frozen_taylor_green"):
         case = get_case(name)
-        report = least_action_check(case, ens)
+        report = least_action_check(case, *SMALL)
         for h, row in zip(default_dictionary(), report["entries"], strict=True):
-            est = action_derivative_analytic(case, ens, h)
+            est = action_derivative_analytic(case, *SMALL, h)
             assert row["h"] == h.label
             assert row["estimate"] == est.value
             assert row["std_error"] == est.std_error
 
 
-def test_least_action_zero_flow(zero_ensemble):
-    report = least_action_check(get_case("zero_flow"), zero_ensemble)
+def test_least_action_zero_flow():
+    report = least_action_check(get_case("zero_flow"), *SMALL)
     assert report["verdict"] == "critical"
     assert report["max_abs_z"] == 0.0
     with pytest.raises(ValueError):
-        least_action_check(get_case("zero_flow"), zero_ensemble, dictionary=[])
+        least_action_check(get_case("zero_flow"), *SMALL, dictionary=[])
 
 
 def test_least_action_needs_two_paths():
-    case = get_case("zero_flow")
+    # refused before the walk evaluates a single field point
+    points = {}
+    case = _counting_case(get_case("zero_flow"), points)
     with pytest.raises(ValueError, match="N >= 2"):
-        least_action_check(case, simulate_pu(case, 1, 4, 1))
+        least_action_check(case, 1, 4, 1)
+    assert points == {}
 
 
 def _uniform_flow(speed=0.3):
@@ -427,7 +449,7 @@ def test_zero_variance_estimate_takes_an_infinite_z_of_its_own_sign():
     # on a uniform flow sine_e1 reads the same negative value on every path
     case = _uniform_flow()
     assert catalog.probe_residuals(case)["max_abs_residual"] == 0.0
-    (row,) = least_action_check(case, simulate_pu(case, 1000, 50, SEED),
+    (row,) = least_action_check(case, 1000, 50, SEED,
                                 dictionary=[sine_perturbation(E1)])["entries"]
     assert row["std_error"] == 0.0 and row["estimate"] < 0.0
     assert row["z"] == -np.inf
@@ -441,7 +463,7 @@ def test_zero_variance_estimate_takes_an_infinite_z_of_its_own_sign():
 def test_least_action_finds_a_uniform_flow_critical():
     # a constant drift with p = 0: every deterministic probe's derivative is 0
     case = _uniform_flow()
-    report = least_action_check(case, simulate_pu(case, 1000, 50, SEED))
+    report = least_action_check(case, 1000, 50, SEED)
     by_label = {row["h"]: row["estimate"] for row in report["entries"]}
     assert abs(by_label["sine_e1"]) <= 1e-12 and abs(by_label["bump_e1"]) <= 1e-12
     assert report["verdict"] == "critical"

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, interpolate, special
 
 import lagrangeflow
-from lagrangeflow import (ROTATION_E3, TRANSLATION_E3, case_names,
+from lagrangeflow import (ROTATION_E3, TRANSLATION_E3, FlowCase, PressureField,
+                          VelocityField, case_names,
                           fd_residual_oracle, get_case, make_lamb_oseen,
                           make_zero_flow, ns_residual, probe_grid,
                           probe_residuals, rotated_case, symmetry_check)
@@ -123,6 +124,48 @@ def test_zero_flow_examples():
     assert np.all(fd_residual_oracle(case, 0.7, x, step=1e-3) == 0.0)
     with pytest.raises(ValueError):
         make_zero_flow(-1.0)
+
+
+def _point_vortex():
+    """u = (-y, x, 0) / r^2 with p = -1 / (2 r^2): a steady solution off the
+    e3 axis, and 0/0 (nan) on it, where the probe grid has points."""
+    def inv_r2(x):
+        return 1.0 / (x[..., 0] ** 2 + x[..., 1] ** 2)
+
+    def u(t, x):
+        return np.stack([-x[..., 1], x[..., 0], 0.0 * x[..., 2]], axis=-1) * inv_r2(x)[..., None]
+
+    def jac(t, x):
+        a, b, w = x[..., 0], x[..., 1], inv_r2(x) ** 2
+        out = np.zeros(x.shape[:-1] + (3, 3))
+        out[..., 0, 0], out[..., 0, 1] = 2 * a * b * w, (b * b - a * a) * w
+        out[..., 1, 0], out[..., 1, 1] = (b * b - a * a) * w, -2 * a * b * w
+        return out
+
+    def grad_p(t, x):
+        planar = x.copy()
+        planar[..., 2] = 0.0
+        return planar * (inv_r2(x) ** 2)[..., None]
+
+    def zero_on_r(t, x):
+        return 0.0 * x * inv_r2(x)[..., None]
+
+    return FlowCase("point_vortex", VelocityField(u, zero_on_r, jac, zero_on_r, bound=1.0),
+                    PressureField(lambda t, x: -0.5 * inv_r2(x), grad_p, bound=1.0),
+                    is_exact_solution=True)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+def test_sup_norms_keep_a_nan():
+    # the vortex is nan on the e3 axis, and no sup-norm over the grid may
+    # read past it: neither the probe diagnostics nor the rotation gate
+    vortex = _point_vortex()
+    diag = probe_residuals(vortex)
+    for key in ("max_abs_residual", "max_abs_divergence", "max_fd_discrepancy"):
+        assert np.isnan(diag[key]), key
+    gate = symmetry_check(vortex, ROTATION_E3)
+    assert np.isnan(gate.max_pressure_violation) and not gate.within_gate
 
 
 def test_fd_oracle_second_order_convergence():

@@ -317,6 +317,12 @@ def test_capacity_exit_4():
     code, _, err = run_cli(["el-test", "--case", "zero_flow",
                             "--N", str(2**42), "--M", "8", "--seed", "0"])
     assert code == 4 and "bytes" in err
+    # least-action keeps no ensemble: its (J, N) table of per-path values is
+    # what numpy refuses, before any path is walked
+    code, out, err = run_cli(["least-action", "--case", "zero_flow",
+                              "--N", str(2**42), "--M", "8", "--seed", "0"])
+    assert code == 4 and out == "" and err.startswith("error: ")
+    assert len(err.splitlines()) == 1
     # any failed allocation, not only the engine's capacity check: the probe
     # grid's meshgrid asks for 7 PiB and numpy refuses at once
     code, out, err = run_cli(["residual", "--case", "taylor_green",

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from lagrangeflow import (CapacityError, TagMismatchError, TimeGrid,
                           drift_process, get_case, simulate_pu, simulate_wiener,
                           worker_count)
-from lagrangeflow.engine import (BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS,
-                                 replay_pieces, walk_pieces)
+from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS, walk_pieces
 
 from conftest import M_SMALL, N_SMALL, SEED, threads
 
@@ -113,8 +112,7 @@ def test_pieces_equal_whole_block_draws(n, name, steps, seed, count):
 
 def test_pieces_are_walked_once_under_thread_switching():
     # eight workers on a 1 us switch interval: every piece is walked once,
-    # and replayed once, each with the positions and drifts a single worker
-    # computes
+    # with the positions and drifts a single worker computes
     case = get_case("lamb_oseen")
     n, m = 2 * BLOCK_PATHS + 3 * PIECE_PATHS + 7, 4
     seen, lock = [], threading.Lock()
@@ -134,47 +132,11 @@ def test_pieces_are_walked_once_under_thread_switching():
         with threads("8"):
             walk_pieces(case, n, m, 5, visit)
             got = simulate_pu(case, n, m, 5)
-            walked, seen[:] = sorted(seen), []
-            replay_pieces(case, got, visit)
     finally:
         sys.setswitchinterval(interval)
     pieces = [(lo, min(PIECE_PATHS, n - lo)) for lo in range(0, n, PIECE_PATHS)]
-    assert walked == pieces and sorted(seen) == pieces
+    assert sorted(seen) == pieces
     assert np.array_equal(got.positions, want.positions)
-
-
-def _pieces_seen(pieces):
-    # lo -> (shape, bytes of x, bytes of v) of every piece pieces(visit) hands out
-    seen, lock = {}, threading.Lock()
-
-    def visit(lo, x, v):
-        with lock:
-            assert lo not in seen
-            seen[lo] = (x.shape, x.tobytes(), v.tobytes())
-
-    pieces(visit)
-    return seen
-
-
-@pytest.mark.parametrize("n", [1, PIECE_PATHS - 1, PIECE_PATHS + 1, CHUNK_FLOOR + 1,
-                               2 * CHUNK_FLOOR + 1, BLOCK_PATHS + 1])
-@settings(max_examples=3, deadline=None, database=None)
-@given(name=st.sampled_from(["taylor_green", "lamb_oseen", "frozen_taylor_green"]),
-       steps=st.integers(2, 6), seed=st.integers(0, 2**64 - 1))
-def test_replayed_pieces_equal_walked_pieces(n, name, steps, seed):
-    # a stored ensemble hands out the walk's pieces: the same first paths,
-    # and positions and drifts equal byte for byte, at every worker count
-    case = get_case(name)
-    for count in ("1", "2", "8"):
-        with threads(count):
-            want = _pieces_seen(lambda visit: walk_pieces(case, n, steps, seed, visit))
-            ens = simulate_pu(case, n, steps, seed)
-            assert _pieces_seen(lambda visit: replay_pieces(case, ens, visit)) == want
-
-
-def test_replay_refuses_another_measure(wiener_ensemble):
-    with pytest.raises(TagMismatchError):
-        replay_pieces(get_case("taylor_green"), wiener_ensemble, lambda lo, x, v: None)
 
 
 def test_simulation_scratch_is_one_piece(monkeypatch):

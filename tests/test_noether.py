@@ -218,6 +218,15 @@ class TestSymmetryCheck:
         assert report.max_pressure_violation > SYMMETRY_GATE_TOL
         assert not report.within_gate
 
+    def test_gate_refuses_a_flow_that_returns_nan(self):
+        # a nan violation is not within the gate, however the others read
+        lost = GeneratorField("lost", TRANSLATION_E3.xi,
+                              lambda eps, x: np.full_like(x, np.nan))
+        report = symmetry_check(get_case("taylor_green"), lost)
+        assert np.isnan(report.max_pressure_violation)
+        assert np.isnan(report.max_speed_violation)
+        assert not report.within_gate
+
     @pytest.mark.parametrize("gen", [TRANSLATION_E3, ROTATION_E3],
                              ids=lambda g: g.name)
     @pytest.mark.parametrize("name", case_names())
