@@ -27,7 +27,7 @@ import numpy as np
 from .engine import PathEnsemble, TimeGrid, walk_pieces
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_error
-from .martingale import ZERO_MEAN_TOL, bonferroni_quantile
+from .martingale import bonferroni_quantile, z_scores
 
 FD_EPS = 1e-2       # the finite-difference oracle's step along each probe
 
@@ -267,12 +267,8 @@ def criticality_report(entries: list, table: Array, alpha: float = 0.01) -> dict
     rows = []
     for h, per_path in zip(entries, table):
         est = mean_with_error(per_path)
-        if est.std_error > 0:
-            z = est.value / est.std_error
-        else:
-            z = 0.0 if abs(est.value) < ZERO_MEAN_TOL else float(np.copysign(np.inf, est.value))
-        rows.append({"h": h.label, "estimate": est.value,
-                     "std_error": est.std_error, "z": z})
+        rows.append({"h": h.label, "estimate": est.value, "std_error": est.std_error,
+                     "z": float(z_scores(est.value, est.std_error))})
     max_abs_z = max(abs(r["z"]) for r in rows)
     threshold = bonferroni_quantile(alpha, len(rows))
     return {"entries": rows, "max_abs_z": max_abs_z, "threshold": threshold,
@@ -290,5 +286,7 @@ def least_action_check(case: FlowCase, n_paths: int, steps: int, seed: int,
     if n_paths < 2:
         raise ValueError("least_action_check needs N >= 2 paths for a standard error")
     entries = dictionary if dictionary is not None else default_dictionary()
+    if not entries:
+        raise ValueError("dictionary must be non-empty")
     table = _tables(case, n_paths, steps, seed, entries, [_analytic_kernel])[0]
     return criticality_report(entries, table, alpha)

@@ -296,22 +296,40 @@ def left_point_sum(term, ensemble: PathEnsemble) -> Array:
     return total
 
 
-def drift_slice(case: FlowCase, t: float, x: Array, out=None) -> Array:
-    """The drift v = -u(1 - t, x) of the positions x at grid time t, into out
-    if given."""
-    return np.negative(case.velocity.eval(1.0 - t, x), out=out)
+def drift_slice(case: FlowCase, t: float, x: Array) -> Array:
+    """v = -u(1 - t, x) at grid time t: a walk step's or a process slice's drift."""
+    return np.negative(case.velocity.eval(1.0 - t, x))
 
 
-def drift_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
-    """The realized drift v[n, k] = -u(1 - t_k, X[n, k]) along each path.
-
-    This is also the momentum conjugate of the kinetic-minus-pressure
-    Lagrangian, since dL/dv = v.
-    """
+def adapted_process(case: FlowCase, ensemble: PathEnsemble, label: str,
+                    point=None, step=None) -> ProcessSample:
+    """point(slice k) + sum_{j=1..k} step(slice j-1, slice j) on a drifted
+    ensemble, slice k being (t_k, X_k, v_k = -u(1 - t_k, X_k)); no point reads
+    v_k.  One pass a slice: u is evaluated once, point before step, each output
+    slice is written once, the sum adds in ``np.cumsum``'s order from slice 1."""
     require_tag(ensemble, pu_tag(case))
     x = ensemble.positions
-    values = np.empty(x.shape)
+    values = np.empty(x.shape) if point is None else None
     for k, t in enumerate(ensemble.grid.times):
-        drift_slice(case, t, x[:, k], out=values[:, k])
-    return ProcessSample(ensemble.grid, values, f"drift({case.name})")
+        if point is None and step is None:      # the drift, in one pass a slice
+            np.negative(case.velocity.eval(1.0 - t, x[:, k]), out=values[:, k])
+            continue
+        here = (t, x[:, k], drift_slice(case, t, x[:, k]))
+        value = here[2] if point is None else point(*here)
+        if values is None:
+            values = np.empty(x.shape[:2] + value.shape[1:])
+        if step is None or k == 0:      # a ufunc outpaces strided assignment
+            np.positive(value, out=values[:, k])
+        else:
+            term = step(prev, here)
+            running = term if k == 1 else running + term    # cumsum's order
+            np.add(value, running, out=values[:, k])
+        prev = here
+    return ProcessSample(ensemble.grid, values, label)
 
+
+def drift_process(case: FlowCase, ensemble: PathEnsemble, *, step=None) -> ProcessSample:
+    """The realized drift v[n, k] = -u(1 - t_k, X[n, k]) along each path (the
+    momentum dL/dv = v of the kinetic-minus-pressure Lagrangian), plus the
+    running sum of step if given, as in adapted_process: el_process adds grad p."""
+    return adapted_process(case, ensemble, f"drift({case.name})", step=step)

@@ -24,9 +24,7 @@ import numpy as np
 from .engine import PathEnsemble, ProcessSample, require_same_grid
 
 CLIP_SQ_AT = 10.0
-# a zero-variance estimate gets z = 0 below this |mean| and an infinite z above;
-# least_action_check reads the same rule
-ZERO_MEAN_TOL = 1e-14
+ZERO_MEAN_TOL = 1e-14      # see z_scores
 # The test functions, read at the left point X_k of each cell: 1, the three
 # coordinates, the process itself, and |X_k|^2 clipped at a fixed constant so
 # heavy tails cannot destabilize the per-cell standard errors.
@@ -37,9 +35,7 @@ TEST_FUNCTIONS = ("one", "x1", "x2", "x3", "self", "clip_sq")
 class MartingaleTestReport:
     """Per-cell statistics and the family-wise verdict.
 
-    statistic/std_error/z have shape (J, M_used).  Zero-variance cells carry
-    z = 0 when the cell mean is numerically zero and an infinite sentinel
-    otherwise (a deterministic nonzero increment is an immediate rejection).
+    statistic/std_error/z have shape (J, M_used); ``z_scores`` gives z.
     """
 
     j_labels: tuple
@@ -86,6 +82,14 @@ def bonferroni_quantile(alpha: float, cells: int) -> float:
     return NormalDist().inv_cdf(p)
 
 
+def z_scores(stat, se) -> np.ndarray:
+    """stat / se; where se is not positive, z = 0 if |stat| < ZERO_MEAN_TOL and
+    else +inf if stat > 0, -inf if not: a deterministic nonzero mean rejects."""
+    z = np.where(np.abs(stat) < ZERO_MEAN_TOL, 0.0, np.where(stat > 0, np.inf, -np.inf))
+    np.divide(stat, se, out=z, where=se > 0.0)
+    return z
+
+
 def _products(d_p: np.ndarray, x: np.ndarray, values: np.ndarray):
     """d_p * psi_j for each of TEST_FUNCTIONS in turn, one (N, M) array at a
     time, each path-major as d_p is, whatever the layout of psi_j."""
@@ -126,9 +130,7 @@ def martingale_test(sample: ProcessSample, ensemble: PathEnsemble,
     for j, y in enumerate(_products(d_p, ensemble.positions[:, :m], values[:, :m])):
         stat[j] = y.mean(axis=0)
         se[j] = y.std(axis=0, ddof=1) / np.sqrt(n)
-    z = np.where(np.abs(stat) < ZERO_MEAN_TOL, 0.0,
-                 np.where(stat > 0, np.inf, -np.inf))
-    np.divide(stat, se, out=z, where=se > 0.0)
+    z = z_scores(stat, se)
 
     threshold = bonferroni_quantile(alpha, len(TEST_FUNCTIONS) * m)
     max_abs_z = float(np.abs(z).max())

@@ -28,8 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import (PathEnsemble, ProcessSample, drift_process, drift_slice,
-                     pu_tag, require_tag)
+from .engine import PathEnsemble, ProcessSample, adapted_process, drift_process
 from .fields import Array, FlowCase
 from .catalog import probe_grid
 from .martingale import martingale_test
@@ -90,19 +89,12 @@ def get_generator(name: str) -> GeneratorField:
 # invariant processes
 
 def el_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
-    """Euler-Lagrange candidate: drift plus accumulated pressure gradient.
-
-    The pressure-gradient sum runs one time slice at a time and is added to
-    the drift process in place, in ``np.cumsum``'s order, so the values are
-    those of the whole-array construction.
-    """
-    values = drift_process(case, ensemble).values
-    grid, x = ensemble.grid, ensemble.positions
-    for k, t in enumerate(grid.times[:-1]):     # one time slice at a time
-        gp = case.pressure.gradient(1.0 - t, x[:, k]) * grid.dt
-        running = gp if k == 0 else running + gp            # cumsum's order
-        values[:, k + 1] += running
-    return ProcessSample(grid, values, f"el({case.name})")
+    """Euler-Lagrange candidate: drift plus accumulated pressure gradient,
+    built in the drift's own pass (bench/tracer.py times ``drift_process``)."""
+    grad_p, dt = case.pressure.gradient, ensemble.grid.dt
+    drift = drift_process(case, ensemble, step=lambda prev, here:
+                          grad_p(1.0 - prev[0], prev[1]) * dt)
+    return ProcessSample(drift.grid, drift.values, f"el({case.name})")
 
 
 def el_reports(case: FlowCase, ensemble: PathEnsemble, alpha: float) -> list:
@@ -121,19 +113,17 @@ def noether_process_general(case: FlowCase, ensemble: PathEnsemble,
     usable for any generator; the closed-form rotation process is its
     analytic oracle.
     """
-    require_tag(ensemble, pu_tag(case))
-    grid, x = ensemble.grid, ensemble.positions
-    values = np.empty(x.shape[:2])
-    bracket = 0.0
-    for k, t in enumerate(grid.times):     # one time slice at a time
-        v = drift_slice(case, t, x[:, k])
-        xi = gen.xi(t, x[:, k])
-        if k:
-            prod = ((xi - xi_prev) * (v - v_prev)).sum(axis=-1)
-            bracket = prod if k == 1 else bracket + prod    # cumsum's order
-        values[:, k] = (xi * v).sum(axis=-1) - bracket
-        xi_prev, v_prev = xi, v
-    return ProcessSample(grid, values, f"noether({gen.name},{case.name})")
+    xi = [None, None]   # at slices k-1, k: point(slice k) runs before step(k-1, k)
+
+    def point(t, x, v):
+        xi[:] = xi[1], gen.xi(t, x)
+        return (xi[1] * v).sum(axis=-1)
+
+    def step(prev, here):       # minus the bracket: a - b == a + (-b) bit for bit
+        return -((xi[1] - xi[0]) * (here[2] - prev[2])).sum(axis=-1)
+
+    return adapted_process(case, ensemble, f"noether({gen.name},{case.name})",
+                           point, step)
 
 
 def noether_rotation_closed_form(case: FlowCase, ensemble: PathEnsemble,
@@ -144,22 +134,13 @@ def noether_rotation_closed_form(case: FlowCase, ensemble: PathEnsemble,
     Dropping the compensator (the ablation) leaves the raw kinetic momentum,
     which is not a martingale unless the vorticity vanishes.
     """
-    require_tag(ensemble, pu_tag(case))
-    grid, x = ensemble.grid, ensemble.positions
-    curl = case.velocity.curl
-    values = np.empty(x.shape[:2])
-    for k, t in enumerate(grid.times):     # one time slice at a time
-        v = drift_slice(case, t, x[:, k])
-        values[:, k] = x[:, k, 0] * v[:, 1] - x[:, k, 1] * v[:, 0]
-        if not include_compensator:
-            continue
-        if k:
-            values[:, k] += running
-        if k < grid.steps:
-            comp = curl(1.0 - t, x[:, k])[..., 2] * grid.dt
-            running = comp if k == 0 else running + comp    # cumsum's order
-    label = "kinetic_momentum" if not include_compensator else "noether_rotation"
-    return ProcessSample(grid, values, f"{label}({case.name})")
+    curl, dt = case.velocity.curl, ensemble.grid.dt
+    label = "noether_rotation" if include_compensator else "kinetic_momentum"
+    return adapted_process(
+        case, ensemble, f"{label}({case.name})",
+        lambda t, x, v: x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0],
+        (lambda prev, here: curl(1.0 - prev[0], prev[1])[..., 2] * dt)
+        if include_compensator else None)
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,15 @@ def test_least_action_needs_two_paths():
     assert points == {}
 
 
+def test_least_action_needs_a_dictionary():
+    # refused before the walk evaluates a single field point
+    points = {}
+    case = _counting_case(get_case("taylor_green"), points)
+    with pytest.raises(ValueError, match="dictionary must be non-empty"):
+        least_action_check(case, 3000, 20, 7, dictionary=[])
+    assert points == {}
+
+
 def _uniform_flow(speed=0.3):
     """u = (speed, 0, 0) with p = 0: an exact solution (zero residual) whose
     drift is one constant, so each deterministic probe reads the same value
@@ -440,11 +449,14 @@ def _uniform_flow(speed=0.3):
 
 
 def test_zero_variance_estimate_takes_an_infinite_z_of_its_own_sign():
-    table = np.array([[0.5] * 4, [-0.5] * 4, [0.0] * 4])
+    # a nan estimate (a non-finite drift) is not above 0: martingale.z_scores
+    # gives it z = -inf, as it gives a nan martingale cell
+    table = np.array([[0.5] * 4, [-0.5] * 4, [0.0] * 4, [np.nan] * 4])
     entries = [sine_perturbation(E1, "up"), sine_perturbation(E2, "down"),
-               sine_perturbation(E3, "flat")]
+               sine_perturbation(E3, "flat"), sine_perturbation(E1, "nan")]
     report = criticality_report(entries, table)
-    assert [row["z"] for row in report["entries"]] == [np.inf, -np.inf, 0.0]
+    assert [row["z"] for row in report["entries"]] == [np.inf, -np.inf, 0.0, -np.inf]
+    assert np.isnan(report["entries"][3]["estimate"])
     assert report["max_abs_z"] == np.inf and report["verdict"] == "not critical"
     # on a uniform flow sine_e1 reads the same negative value on every path
     case = _uniform_flow()

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -36,9 +37,15 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def _whole_array_drift(case, ens):
+    # the construction over whole (N, M+1, 3) arrays
+    return np.stack([-case.velocity.eval(1.0 - t, ens.positions[:, k])
+                     for k, t in enumerate(ens.grid.times)], axis=1)
+
+
 def _whole_array_el(case, ens):
     # the construction over whole (N, M+1, 3) and (N, M, 3) arrays
-    v = drift_process(case, ens).values
+    v = _whole_array_drift(case, ens)
     gp = np.stack([case.pressure.gradient(1.0 - t, ens.positions[:, k])
                    for k, t in enumerate(ens.grid.times[:-1])], axis=1)
     gp *= ens.grid.dt
@@ -47,8 +54,20 @@ def _whole_array_el(case, ens):
     return v
 
 
+def _whole_array_general(case, ens, gen):
+    # <xi, v> minus the cumulated increment products of the stacked xi and v
+    x, v = ens.positions, _whole_array_drift(case, ens)
+    xi = np.stack([gen.xi(t, x[:, k]) for k, t in enumerate(ens.grid.times)],
+                  axis=1)
+    bracket = ((xi[:, 1:] - xi[:, :-1]) * (v[:, 1:] - v[:, :-1])).sum(axis=-1)
+    np.cumsum(bracket, axis=1, out=bracket)
+    values = (xi * v).sum(axis=-1)
+    values[:, 1:] -= bracket
+    return values
+
+
 def _whole_array_rotation(case, ens, include_compensator):
-    x, v = ens.positions, drift_process(case, ens).values
+    x, v = ens.positions, _whole_array_drift(case, ens)
     values = x[:, :, 0] * v[:, :, 1] - x[:, :, 1] * v[:, :, 0]
     if include_compensator:
         comp = np.stack([case.velocity.curl(1.0 - t, x[:, k])[..., 2]
@@ -66,23 +85,70 @@ def test_slice_builders_equal_whole_array_construction(name, n):
     # bit for bit, signs of zero included
     case = get_case(name)
     ens = simulate_pu(case, n, 20, SEED)
+    assert (drift_process(case, ens).values.tobytes()
+            == _whole_array_drift(case, ens).tobytes())
     assert (el_process(case, ens).values.tobytes()
             == _whole_array_el(case, ens).tobytes())
+    for gen in (ROTATION_E3, TRANSLATION_E3):
+        got = noether_process_general(case, ens, gen).values
+        assert got.tobytes() == _whole_array_general(case, ens, gen).tobytes()
     for compensated in (True, False):
         got = noether_rotation_closed_form(case, ens, compensated).values
         assert got.tobytes() == _whole_array_rotation(case, ens, compensated).tobytes()
 
 
-class TestElProcess:
-    def test_scratch_is_one_time_slice(self):
-        # beyond its (N, M+1, 3) output the builder holds a few (N, 3)
-        # slices, not a whole drift or an (N, M, 3) grad p array
-        case = get_case("lamb_oseen")
-        n, m = 4096, 50
-        ens = simulate_pu(case, n, m, SEED)
-        peak = _peak_bytes(el_process, case, ens)
-        assert peak < n * (m + 1) * 3 * 8 + 20 * n * 3 * 8
+def _counted(fn, kind, slices):
+    def wrapped(t, x):
+        slices[kind] = slices.get(kind, 0) + 1
+        return fn(t, x)
+    return wrapped
 
+
+@pytest.mark.parametrize("build, want", [
+    (lambda case, ens, gen: drift_process(case, ens), {}),
+    (lambda case, ens, gen: el_process(case, ens), {"gradp": 0}),
+    (noether_process_general, {"xi": 1}),
+    (lambda case, ens, gen: noether_rotation_closed_form(case, ens), {"curl": 0}),
+    (lambda case, ens, gen: noether_rotation_closed_form(case, ens, False), {}),
+], ids=["drift", "el", "general", "closed_form", "closed_form_ablated"])
+def test_builders_evaluate_each_field_once_per_slice(build, want):
+    # the calls of each field, M plus the offset listed: u and xi at each of
+    # the M+1 slices, grad p and the curl (through the Jacobian) at each of
+    # the M left points, and nothing else
+    n, m, slices = 50, 12, {}
+    base = get_case("lamb_oseen")
+    ens = simulate_pu(base, n, m, SEED)
+    u, p = base.velocity, base.pressure
+    case = dataclasses.replace(
+        base,
+        velocity=dataclasses.replace(u, eval=_counted(u.eval, "u", slices),
+                                     jacobian=_counted(u.jacobian, "curl", slices)),
+        pressure=dataclasses.replace(p, eval=_counted(p.eval, "p", slices),
+                                     gradient=_counted(p.gradient, "gradp", slices)))
+    gen = GeneratorField("rotation_e3", _counted(ROTATION_E3.xi, "xi", slices),
+                         ROTATION_E3.flow)
+    build(case, ens, gen)
+    assert slices == {kind: m + extra for kind, extra in {"u": 1, **want}.items()}
+
+
+@pytest.mark.parametrize("build, width", [
+    (drift_process, 3),
+    (el_process, 3),
+    (lambda case, ens: noether_process_general(case, ens, ROTATION_E3), 1),
+    (noether_rotation_closed_form, 1),
+    (lambda case, ens: noether_rotation_closed_form(case, ens, False), 1),
+], ids=["drift", "el", "general", "closed_form", "closed_form_ablated"])
+def test_builder_scratch_is_one_time_slice(build, width):
+    # beyond its (N, M+1) or (N, M+1, 3) output a builder holds a few (N, 3)
+    # slices, not a whole drift, an (N, M, 3) grad p or an (N, M) compensator
+    case = get_case("lamb_oseen")
+    n, m = 4096, 50
+    ens = simulate_pu(case, n, m, SEED)
+    peak = _peak_bytes(build, case, ens)
+    assert peak < n * (m + 1) * width * 8 + 20 * n * 3 * 8
+
+
+class TestElProcess:
     def test_zero_flow_is_identically_zero(self, zero_ensemble):
         proc = el_process(get_case("zero_flow"), zero_ensemble)
         assert np.all(proc.values == 0.0)
@@ -109,30 +175,6 @@ class TestNoetherProcesses:
         proc = noether_process_general(case, tg_ensemble, TRANSLATION_E3)
         v3 = drift_process(case, tg_ensemble).values[:, :, 2]
         assert np.array_equal(proc.values, v3)
-
-    def test_general_process_scratch_is_one_time_slice(self):
-        # the bracket is built one time slice at a time: beyond its (N, M+1)
-        # output the builder holds a few (N, 3) slices, not (N, M+1, 3) arrays
-        case = get_case("lamb_oseen")
-        n, m = 4096, 50
-        ens = simulate_pu(case, n, m, SEED)
-        tracemalloc.start()
-        try:
-            noether_process_general(case, ens, ROTATION_E3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < n * (m + 1) * 8 + 20 * n * 3 * 8
-
-    @pytest.mark.parametrize("compensated", [True, False])
-    def test_rotation_closed_form_scratch_is_one_time_slice(self, compensated):
-        # beyond its (N, M+1) output the builder holds a few (N, 3) slices,
-        # not a whole (N, M+1, 3) drift or an (N, M) compensator
-        case = get_case("lamb_oseen")
-        n, m = 4096, 50
-        ens = simulate_pu(case, n, m, SEED)
-        peak = _peak_bytes(noether_rotation_closed_form, case, ens, compensated)
-        assert peak < n * (m + 1) * 8 + 20 * n * 3 * 8
 
     def test_zero_generator_gives_zero_process(self, tg_ensemble):
         zero_gen = GeneratorField("null", lambda t, x: np.zeros_like(x),
