@@ -11,10 +11,10 @@ derivative
 A solution field makes this vanish for every admissible h; the finite
 dictionary below probes deterministic directions and genuinely random
 (gated) ones, and the finite-difference pushforward recomputes the same
-derivative from the action alone as an independent oracle.  The derivative
-estimators take (case, n_paths, steps, seed) and walk the paths of
-``simulate_pu(case, n_paths, steps, seed)`` piece by piece, keeping no
-ensemble.
+derivative from the action alone as an independent oracle.  The action and
+the derivative estimators take (case, n_paths, steps, seed) and walk the
+paths of ``simulate_pu(case, n_paths, steps, seed)`` piece by piece, keeping
+no ensemble.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import PathEnsemble, TimeGrid, walk_pieces
+from .engine import TimeGrid, walk_pieces
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_error
 from .martingale import bonferroni_quantile, z_scores
@@ -47,17 +47,6 @@ class PerturbationField:
     label: str
     profile: Callable[[Array, Array], tuple]
     energy_bound: float
-
-    def realize(self, ensemble: PathEnsemble):
-        """Evaluate (h, hdot) on the ensemble grid.
-
-        Returns arrays broadcastable to (N, M+1, 3); deterministic probes
-        yield a singleton path axis.
-        """
-        base, dbase, weight = self.profile(ensemble.grid.times,
-                                           ensemble.positions.transpose(1, 0, 2))
-        weight = weight[:, None, :]
-        return base[None, :, None] * weight, dbase[None, :, None] * weight
 
 
 # Energy bounds are pointwise sup bounds times 1.5, which covers the
@@ -122,13 +111,14 @@ DICTIONARIES = {"default": default_dictionary,
 
 # ---------------------------------------------------------------------------
 
-def action_per_path(case: FlowCase, ensemble: PathEnsemble) -> Array:
+def action_per_path(case: FlowCase, n_paths: int, steps: int, seed: int) -> Array:
     """Per-path action sum_k (|v_k|^2 / 2 - p(1 - t_k, X_k)) dt."""
-    return drifted_path_functionals(case, ensemble)[2]
+    return drifted_path_functionals(case, n_paths, steps, seed)[2]
 
 
-def stochastic_action(case: FlowCase, ensemble: PathEnsemble) -> EstimateWithError:
-    return mean_with_error(action_per_path(case, ensemble))
+def stochastic_action(case: FlowCase, n_paths: int, steps: int,
+                      seed: int) -> EstimateWithError:
+    return mean_with_error(action_per_path(case, n_paths, steps, seed))
 
 
 def _tables(case: FlowCase, n_paths: int, steps: int, seed: int,

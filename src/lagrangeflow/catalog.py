@@ -286,12 +286,14 @@ def _spline_eval(eta):
     x, c = _G_KNOTS, _G_TABLE
     last = len(x) - 2
     i = np.clip((eta * (last + 1) / x[-1]).astype(np.intp), 0, last)
-    i -= eta < x[i]
-    i += eta >= x[i + 1]
+    i -= eta < x.take(i)
+    i += eta >= x.take(i + 1)
     np.clip(i, 0, last, out=i)
-    s = eta - x[i]
+    s = eta - x.take(i)
     s2 = s * s
-    return c[3, i] + c[2, i] * s + c[1, i] * s2 + c[0, i] * (s2 * s)
+    # take gathers what c[3, i] does, in less time than fancy indexing
+    return (c[3].take(i) + c[2].take(i) * s + c[1].take(i) * s2
+            + c[0].take(i) * (s2 * s))
 
 
 def _G(eta):

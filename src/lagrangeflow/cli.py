@@ -26,8 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import catalog
 from .action import DICTIONARIES, least_action_check
-from .engine import (WIENER_SEED_OFFSET, simulate_pu, simulate_wiener,
-                     worker_count)
+from .engine import WIENER_SEED_OFFSET, simulate_pu, worker_count
 from .girsanov import action_entropy_identity
 from .martingale import TEST_FUNCTIONS, bonferroni_quantile, martingale_test
 from .noether import (UnknownGeneratorError, get_generator, el_reports,
@@ -223,9 +222,7 @@ def _cmd_el_test(cfg):
 
 def _cmd_action(cfg):
     case = _require_case(cfg)
-    pu = simulate_pu(case, cfg["N"], cfg["M"], cfg["seed"])
-    wiener = simulate_wiener(cfg["N"], cfg["M"], cfg["seed"] + WIENER_SEED_OFFSET)
-    identity = action_entropy_identity(case, pu, wiener)
+    identity = action_entropy_identity(case, cfg["N"], cfg["M"], cfg["seed"])
     return {
         "case": cfg["case"],
         "action": identity["S"].to_dict(),

@@ -280,21 +280,8 @@ def require_same_grid(a, b) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Every estimator reads fields at reversed time and left points, f(1 - t_k,
-# X_k), in increasing k; left_point_sum keeps O(N) memory.
-
-def left_point_sum(term, ensemble: PathEnsemble) -> Array:
-    """Per-path sum over k = 0..M-1 of term(1 - t_k, X_k, X_{k+1} - X_k).
-
-    Accumulates from zero in k order; the result has the shape of one term.
-    """
-    times = ensemble.grid.times
-    x = ensemble.positions
-    total = 0.0
-    for k in range(ensemble.grid.steps):
-        total += term(1.0 - times[k], x[:, k], x[:, k + 1] - x[:, k])
-    return total
-
+# Fields are read at reversed time and left points, f(1 - t_k, X_k), in
+# increasing k: by walk_pieces visitors, or by the stored-ensemble builders.
 
 def drift_slice(case: FlowCase, t: float, x: Array) -> Array:
     """v = -u(1 - t, x) at grid time t: a walk step's or a process slice's drift."""
@@ -303,10 +290,11 @@ def drift_slice(case: FlowCase, t: float, x: Array) -> Array:
 
 def adapted_process(case: FlowCase, ensemble: PathEnsemble, label: str,
                     point=None, step=None) -> ProcessSample:
-    """point(slice k) + sum_{j=1..k} step(slice j-1, slice j) on a drifted
-    ensemble, slice k being (t_k, X_k, v_k = -u(1 - t_k, X_k)); no point reads
-    v_k.  One pass a slice: u is evaluated once, point before step, each output
-    slice is written once, the sum adds in ``np.cumsum``'s order from slice 1."""
+    """value_k + sum_{j=1..k} step(slice j-1, slice j) on a drifted ensemble:
+    (value_k, aux_k) = point(t_k, X_k, v_k), v_k = -u(1 - t_k, X_k), or (v_k,
+    None) without a point, and slice k = (t_k, X_k, v_k, aux_k).  One pass a
+    slice: u is evaluated once, point before step, each output slice is written
+    once, the sum adds in ``np.cumsum``'s order from slice 1."""
     require_tag(ensemble, pu_tag(case))
     x = ensemble.positions
     values = np.empty(x.shape) if point is None else None
@@ -315,7 +303,8 @@ def adapted_process(case: FlowCase, ensemble: PathEnsemble, label: str,
             np.negative(case.velocity.eval(1.0 - t, x[:, k]), out=values[:, k])
             continue
         here = (t, x[:, k], drift_slice(case, t, x[:, k]))
-        value = here[2] if point is None else point(*here)
+        value, aux = (here[2], None) if point is None else point(*here)
+        here += (aux,)
         if values is None:
             values = np.empty(x.shape[:2] + value.shape[1:])
         if step is None or k == 0:      # a ufunc outpaces strided assignment

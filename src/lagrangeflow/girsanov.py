@@ -10,6 +10,10 @@ Sign convention: the trivial case u = 0, p = c pins the identity between
 action and entropy to  S = H - ln Z_p  (the action picks up -c, the entropy
 of a measure against itself is 0, and ln Z_p = c).  Both residual
 conventions are reported so the choice stays visible.
+
+Every functional takes (case, n_paths, steps, seed) and walks the paths of
+``simulate_pu`` or ``simulate_wiener`` at those arguments piece by piece,
+keeping no ensemble; on drifted paths u is the drift the walk used.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (PathEnsemble, WIENER_TAG, left_point_sum, pu_tag,
-                     require_same_grid, require_tag)
+from .engine import WIENER_SEED_OFFSET, TimeGrid, walk_pieces
 from .fields import Array, FlowCase
 
 
@@ -40,8 +43,7 @@ def mean_with_error(samples: Array) -> EstimateWithError:
     """Sample mean with std error = sample standard deviation / sqrt(n).
 
     Reductions run over the fully assembled per-path array in a fixed
-    pairwise order, so results never depend on the worker count used to
-    build the ensemble.
+    pairwise order, so results never depend on the worker count.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[0]
@@ -49,79 +51,92 @@ def mean_with_error(samples: Array) -> EstimateWithError:
     return EstimateWithError(float(samples.mean()), float(sd / np.sqrt(n)), n)
 
 
-def log_density_pu(case: FlowCase, ensemble: PathEnsemble) -> Array:
-    """Per-path log of dP_u/dmu evaluated as a path functional.
+def _path_sums(walked, n_paths: int, steps: int, seed: int, rows: int, add) -> Array:
+    """Per-path (rows, N) sums over k < M, from zero in increasing k, on the
+    paths of ``walk_pieces(walked, ...)``: add(1 - t_k, X_k, X_{k+1} - X_k, v_k,
+    acc) adds step k to a piece's rows acc; v_k is the walk's drift, or None."""
+    times = TimeGrid(steps).times
+    sums = np.zeros((rows, n_paths))
 
-    Works on any ensemble: the formula only reads positions.  Returns an
-    array of shape (N,).
-    """
-    u = case.velocity.eval
-    dt = ensemble.grid.dt
+    def visit(lo, x, v):
+        acc = sums[:, lo:lo + x.shape[1]]
+        for k in range(steps):
+            v_k = None if v is None else v[:, k]
+            add(1.0 - times[k], x[k], x[k + 1] - x[k], v_k, acc)
 
-    def term(t, x, dx):
+    walk_pieces(walked, n_paths, steps, seed, visit)
+    return sums
+
+
+def log_density_pu(case: FlowCase, n_paths: int, steps: int, seed: int) -> Array:
+    """Per-path ln dP_u/dmu, (N,), on the paths of ``simulate_wiener(n_paths,
+    steps, seed)``."""
+    u, dt = case.velocity.eval, 1.0 / steps
+
+    def add(t, x, dx, _, acc):
         u_k = u(t, x)
-        return np.stack([(u_k * dx).sum(axis=-1), (u_k**2).sum(axis=-1) * dt])
+        acc[0] += (u_k * dx).sum(axis=-1)
+        acc[1] += (u_k**2).sum(axis=-1) * dt
 
-    ito, energy = left_point_sum(term, ensemble)
+    ito, energy = _path_sums(None, n_paths, steps, seed, 2, add)
     return -ito - 0.5 * energy
 
 
-def pressure_integral(case: FlowCase, ensemble: PathEnsemble) -> Array:
-    """Per-path left-point sum of p(1 - t_k, X_k) dt over k = 0..M-1."""
+def pressure_integral(case: FlowCase, n_paths: int, steps: int, seed: int) -> Array:
+    """Per-path sum of p(1 - t_k, X_k) dt over k < M on the paths of
+    ``simulate_wiener(n_paths, steps, seed)``."""
     p = case.pressure.eval
-    return left_point_sum(lambda t, x, dx: p(t, x), ensemble) * ensemble.grid.dt
+    return _path_sums(None, n_paths, steps, seed, 1, lambda t, x, dx, _, acc:
+                      np.add(acc[0], p(t, x), out=acc[0]))[0] * (1.0 / steps)
 
 
-def drifted_path_functionals(case: FlowCase, ensemble: PathEnsemble) -> tuple:
-    """Per-path (ln dP_u/dmu, int p dt, action) of a drifted ensemble from one
-    walk that evaluates u and p once per step.  Each row is summed from zero
-    in increasing k, so the three equal ``log_density_pu``,
-    ``pressure_integral`` and the sum of (|u|^2 / 2 - p) dt bit for bit."""
-    require_tag(ensemble, pu_tag(case))
-    u, p = case.velocity.eval, case.pressure.eval
-    dt = ensemble.grid.dt
+def drifted_path_functionals(case: FlowCase, n_paths: int, steps: int,
+                             seed: int) -> tuple:
+    """Per-path (ln dP_u/dmu, int p dt, action) on the paths of
+    ``simulate_pu(case, n_paths, steps, seed)``, from one walk whose drift is
+    -u and one p call per step: the left-point sums of ``log_density_pu``,
+    ``pressure_integral`` and (|u|^2 / 2 - p) dt on the stored ensemble."""
+    p, dt = case.pressure.eval, 1.0 / steps
 
-    def term(t, x, dx):
-        u_k, p_k = u(t, x), p(t, x)
-        sq = (u_k**2).sum(axis=-1)
-        return np.stack([(u_k * dx).sum(axis=-1), sq * dt, p_k, 0.5 * sq - p_k])
+    def add(t, x, dx, v, acc):
+        p_k, sq = p(t, x), (v**2).sum(axis=-1)
+        acc[0] -= (v * dx).sum(axis=-1)     # u = -v, and a - b == a + (-b)
+        acc[1] += sq * dt
+        acc[2] += p_k
+        acc[3] += 0.5 * sq - p_k
 
-    ito, energy, pressure, action = left_point_sum(term, ensemble)
+    ito, energy, pressure, action = _path_sums(case, n_paths, steps, seed, 4, add)
     return -ito - 0.5 * energy, pressure * dt, action * dt
 
 
-def estimate_Zp(case: FlowCase, wiener_ensemble: PathEnsemble) -> EstimateWithError:
-    """Normalization Z_p = E_mu[exp(int p(1-s, W_s) ds)]."""
-    require_tag(wiener_ensemble, WIENER_TAG)
-    return mean_with_error(np.exp(pressure_integral(case, wiener_ensemble)))
+def estimate_Zp(case: FlowCase, n_paths: int, steps: int, seed: int) -> EstimateWithError:
+    """Z_p = E_mu[exp(int p(1-s, W_s) ds)] on ``simulate_wiener(n_paths,
+    steps, seed)``."""
+    return mean_with_error(np.exp(pressure_integral(case, n_paths, steps, seed)))
 
 
-def relative_entropy(case: FlowCase, pu_ensemble: PathEnsemble,
-                     wiener_ensemble: PathEnsemble) -> EstimateWithError:
-    """H(P_u | mu_p) = E_Pu[ln dP_u/dmu] - E_Pu[int p dt] + ln Z_p.
-
-    The first two expectations come from the same drifted ensemble, so their
-    covariance is accounted for by estimating them as one per-path quantity;
-    the ln Z_p error enters by the delta method.  This is the "H" entry of
-    ``action_entropy_identity``, which assembles it.
-    """
-    return action_entropy_identity(case, pu_ensemble, wiener_ensemble)["H"]
+def relative_entropy(case: FlowCase, n_paths: int, steps: int,
+                     seed: int) -> EstimateWithError:
+    """H(P_u | mu_p) = E_Pu[ln dP_u/dmu] - E_Pu[int p dt] + ln Z_p, the "H"
+    entry of ``action_entropy_identity``: the first two terms as one per-path
+    quantity on the same drifted paths, the ln Z_p error by the delta method."""
+    return action_entropy_identity(case, n_paths, steps, seed)["H"]
 
 
-def action_entropy_identity(case: FlowCase, pu_ensemble: PathEnsemble,
-                            wiener_ensemble: PathEnsemble) -> dict:
-    """Evaluate S, H, ln Z_p and both residuals S - (H -+ ln Z_p).
+def action_entropy_identity(case: FlowCase, n_paths: int, steps: int,
+                            seed: int) -> dict:
+    """S, H, ln Z_p and both residuals S - (H -+ ln Z_p): the drifted terms on
+    ``simulate_pu(case, n_paths, steps, seed)``, Z_p on ``simulate_wiener(
+    n_paths, steps, seed + WIENER_SEED_OFFSET)``.
 
     Common random numbers: the action and the entropy's drifted-measure terms
     are evaluated on the same paths, so ln Z_p cancels exactly inside
     residual_minus and the residual's standard error reflects only the
     genuinely fluctuating part.
     """
-    require_tag(pu_ensemble, pu_tag(case))
-    require_same_grid(pu_ensemble, wiener_ensemble)
-    log_density, pressure, act = drifted_path_functionals(case, pu_ensemble)
+    log_density, pressure, act = drifted_path_functionals(case, n_paths, steps, seed)
     dens_minus_p = log_density - pressure
-    z = estimate_Zp(case, wiener_ensemble)
+    z = estimate_Zp(case, n_paths, steps, seed + WIENER_SEED_OFFSET)
     ln_z = float(np.log(z.value))
     se_ln_z = z.std_error / z.value
 
@@ -132,7 +147,7 @@ def action_entropy_identity(case: FlowCase, pu_ensemble: PathEnsemble,
                                  est.n_samples)
 
     res_minus = mean_with_error(act - dens_minus_p)     # ln Z_p cancels
-    budget = 3.0 * res_minus.std_error + 2.0 / pu_ensemble.grid.steps
+    budget = 3.0 * res_minus.std_error + 2.0 / steps
     return {
         "S": mean_with_error(act),
         "H": plus_ln_z(mean_with_error(dens_minus_p), 1.0),

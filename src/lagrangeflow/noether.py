@@ -113,14 +113,12 @@ def noether_process_general(case: FlowCase, ensemble: PathEnsemble,
     usable for any generator; the closed-form rotation process is its
     analytic oracle.
     """
-    xi = [None, None]   # at slices k-1, k: point(slice k) runs before step(k-1, k)
-
-    def point(t, x, v):
-        xi[:] = xi[1], gen.xi(t, x)
-        return (xi[1] * v).sum(axis=-1)
+    def point(t, x, v):         # xi rides in the slice, for step to read
+        xi = gen.xi(t, x)
+        return (xi * v).sum(axis=-1), xi
 
     def step(prev, here):       # minus the bracket: a - b == a + (-b) bit for bit
-        return -((xi[1] - xi[0]) * (here[2] - prev[2])).sum(axis=-1)
+        return -((here[3] - prev[3]) * (here[2] - prev[2])).sum(axis=-1)
 
     return adapted_process(case, ensemble, f"noether({gen.name},{case.name})",
                            point, step)
@@ -138,7 +136,7 @@ def noether_rotation_closed_form(case: FlowCase, ensemble: PathEnsemble,
     label = "noether_rotation" if include_compensator else "kinetic_momentum"
     return adapted_process(
         case, ensemble, f"{label}({case.name})",
-        lambda t, x, v: x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0],
+        lambda t, x, v: (x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0], None),
         (lambda prev, here: curl(1.0 - prev[0], prev[1])[..., 2] * dt)
         if include_compensator else None)
 

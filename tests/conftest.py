@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import os
+import threading
 from unittest import mock
 
 import pytest
@@ -21,6 +23,30 @@ def threads(value):
             mock.patch("os.sched_getaffinity", lambda pid: set(range(8)),
                        create=True):
         yield
+
+
+def counting_case(case, points, calls=None):
+    """case with its u, p and grad p evaluators counting the points (x.size //
+    3) and the calls each is asked for; the lock keeps the counts exact on
+    worker threads."""
+    lock = threading.Lock()
+    calls = {} if calls is None else calls
+
+    def counted(kind, fn):
+        def wrapped(t, x):
+            with lock:
+                points[kind] = points.get(kind, 0) + x.size // 3
+                calls[kind] = calls.get(kind, 0) + 1
+            return fn(t, x)
+        return wrapped
+
+    velocity, pressure = case.velocity, case.pressure
+    return dataclasses.replace(
+        case,
+        velocity=dataclasses.replace(velocity, eval=counted("u", velocity.eval)),
+        pressure=dataclasses.replace(
+            pressure, eval=counted("p", pressure.eval),
+            gradient=counted("gradp", pressure.gradient)))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 import dataclasses
 import os
-import threading
 import tracemalloc
 
 import numpy as np
@@ -20,10 +19,19 @@ from lagrangeflow.action import (FD_EPS, _analytic_kernel, _tables,
                                  criticality_report, criticality_tables)
 from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS
 
-from conftest import M_SMALL, N_SMALL, SEED, threads as _threads
+from conftest import M_SMALL, N_SMALL, SEED, counting_case, threads as _threads
 
 E1, E2, E3 = np.eye(3)
 SMALL = (N_SMALL, M_SMALL, SEED)    # the estimators walk the fixtures' paths
+
+
+def _realize(h, ensemble):
+    # (h, hdot) of a perturbation on a stored ensemble's grid, broadcastable
+    # to (N, M+1, 3); a deterministic probe keeps a singleton path axis
+    base, dbase, weight = h.profile(ensemble.grid.times,
+                                    ensemble.positions.transpose(1, 0, 2))
+    weight = weight[:, None, :]
+    return base[None, :, None] * weight, dbase[None, :, None] * weight
 
 
 def test_default_dictionary_size_and_labels():
@@ -36,7 +44,7 @@ def test_default_dictionary_size_and_labels():
 @pytest.mark.parametrize("entry", default_dictionary(),
                          ids=lambda e: e.label)
 def test_perturbations_vanish_at_endpoints(entry, tg_ensemble):
-    h, hdot = entry.realize(tg_ensemble)
+    h, hdot = _realize(entry, tg_ensemble)
     assert np.all(h[:, 0, :] == 0.0)
     assert np.all(h[:, -1, :] == 0.0)
     energy = (hdot**2).sum(axis=-1).sum(axis=1).max() * tg_ensemble.grid.dt
@@ -45,7 +53,7 @@ def test_perturbations_vanish_at_endpoints(entry, tg_ensemble):
 
 def test_gated_perturbation_is_causal(tg_ensemble):
     entry = gated_tanh_perturbation(0.5)
-    h, _ = entry.realize(tg_ensemble)
+    h, _ = _realize(entry, tg_ensemble)
     m = tg_ensemble.grid.steps
     assert np.all(h[:, : m // 2, :] == 0.0)
     # the gate reads the path at the activation index only
@@ -57,9 +65,9 @@ def test_gated_perturbation_is_causal(tg_ensemble):
         gated_tanh_perturbation(1.5)
 
 
-def test_zero_flow_action_and_derivative_exact(zero_ensemble):
+def test_zero_flow_action_and_derivative_exact():
     case = get_case("zero_flow")
-    est = stochastic_action(case, zero_ensemble)
+    est = stochastic_action(case, *SMALL)
     assert est.value == pytest.approx(-0.5, abs=1e-12)
     assert est.std_error <= 1e-13
     for entry in default_dictionary():
@@ -69,14 +77,15 @@ def test_zero_flow_action_and_derivative_exact(zero_ensemble):
         assert f.value == 0.0
 
 
-def test_action_cross_checks_entropy(tg_ensemble, wiener_ensemble):
+def test_action_cross_checks_entropy():
     from lagrangeflow import action_entropy_identity
     case = get_case("taylor_green")
-    act = stochastic_action(case, tg_ensemble)
-    rep = action_entropy_identity(case, tg_ensemble, wiener_ensemble)
+    act = stochastic_action(case, *SMALL)
+    rep = action_entropy_identity(case, *SMALL)
     target = rep["H"].value - rep["ln_Zp"].value
     combined = np.hypot(act.std_error, rep["H"].std_error)
-    assert abs(act.value - target) <= 3.0 * combined + 2.0 / tg_ensemble.grid.steps
+    assert abs(act.value - target) <= 3.0 * combined + 2.0 / M_SMALL
+    assert act == rep["S"]
 
 
 @pytest.mark.parametrize("name", case_names())
@@ -97,7 +106,7 @@ def _per_probe_fd(case, ensemble, h):
     grid = ensemble.grid
     times = grid.times
     v = drift_process(case, ensemble).values
-    hv, hdv = h.realize(ensemble)
+    hv, hdv = _realize(h, ensemble)
     m = grid.steps
 
     def shifted_action(sign):
@@ -123,7 +132,7 @@ def _analytic_reference(case, ensemble, dictionary):
                    for k, t in enumerate(grid.times[:m])], axis=1)
     rows = []
     for h in dictionary:
-        hv, hdv = h.realize(ensemble)
+        hv, hdv = _realize(h, ensemble)
         integrand = (v * hdv[:, :m]).sum(axis=-1) - (gp * hv[:, :m]).sum(axis=-1)
         rows.append(integrand.sum(axis=1) * grid.dt)
     return np.array(rows)
@@ -142,34 +151,11 @@ def test_fd_over_dictionary_equals_per_probe_loop(name, fixture, request):
         assert action_derivative_fd(case, *SMALL, h) == est, h.label
 
 
-def _counting_case(case, points, calls=None):
-    # counts the points (x.size // 3) each field evaluator is asked for, and
-    # its calls; the lock keeps the counts exact on worker threads
-    lock = threading.Lock()
-    calls = {} if calls is None else calls
-
-    def counted(kind, fn):
-        def wrapped(t, x):
-            with lock:
-                points[kind] = points.get(kind, 0) + x.size // 3
-                calls[kind] = calls.get(kind, 0) + 1
-            return fn(t, x)
-        return wrapped
-
-    velocity, pressure = case.velocity, case.pressure
-    return dataclasses.replace(
-        case,
-        velocity=dataclasses.replace(velocity, eval=counted("u", velocity.eval)),
-        pressure=dataclasses.replace(
-            pressure, eval=counted("p", pressure.eval),
-            gradient=counted("gradp", pressure.gradient)))
-
-
 def test_fd_evaluates_drift_once_and_pressure_per_shift():
     # every path point sees u once, and p once per probe and sign; all
     # probes and signs of a piece share one p call per step
     points, calls = {}, {}
-    case = _counting_case(get_case("taylor_green"), points, calls)
+    case = counting_case(get_case("taylor_green"), points, calls)
     dictionary = default_dictionary()
     action_derivatives_fd(case, *SMALL, dictionary)
     n, m = N_SMALL, M_SMALL
@@ -186,7 +172,7 @@ def test_fd_chunks_evaluate_each_point_once(monkeypatch):
     base = get_case("taylor_green")
     n, m = 2 * CHUNK_FLOOR + 3, 6
     points, calls = {}, {}
-    case = _counting_case(base, points, calls)
+    case = counting_case(base, points, calls)
     dictionary = default_dictionary()
     action_derivatives_fd(case, n, m, SEED, dictionary)
     assert points == {"u": n * m, "p": 2 * m * len(dictionary) * n}
@@ -201,7 +187,7 @@ def test_least_action_evaluates_each_point_once(monkeypatch):
     base = get_case("taylor_green")
     n, m = 2 * CHUNK_FLOOR + PIECE_PATHS + 1, 5
     points = {}
-    least_action_check(_counting_case(base, points), n, m, SEED)
+    least_action_check(counting_case(base, points), n, m, SEED)
     assert points == {"u": n * m, "gradp": n * m}
 
 
@@ -337,7 +323,7 @@ def test_criterion_3_evaluates_u_once_per_path_point(monkeypatch):
     get = catalog.get_case
 
     def counting_get_case(name):
-        return _counting_case(get(name), points.setdefault(name, {}))
+        return counting_case(get(name), points.setdefault(name, {}))
 
     monkeypatch.setattr(catalog, "get_case", counting_get_case)
     scale = suite.SuiteScale(n_paths=2 * PIECE_PATHS + 5, steps=5, seed=SEED)
@@ -417,7 +403,7 @@ def test_least_action_zero_flow():
 def test_least_action_needs_two_paths():
     # refused before the walk evaluates a single field point
     points = {}
-    case = _counting_case(get_case("zero_flow"), points)
+    case = counting_case(get_case("zero_flow"), points)
     with pytest.raises(ValueError, match="N >= 2"):
         least_action_check(case, 1, 4, 1)
     assert points == {}
@@ -426,7 +412,7 @@ def test_least_action_needs_two_paths():
 def test_least_action_needs_a_dictionary():
     # refused before the walk evaluates a single field point
     points = {}
-    case = _counting_case(get_case("taylor_green"), points)
+    case = counting_case(get_case("taylor_green"), points)
     with pytest.raises(ValueError, match="dictionary must be non-empty"):
         least_action_check(case, 3000, 20, 7, dictionary=[])
     assert points == {}

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from lagrangeflow import cli, suite
+from lagrangeflow import action, cli, engine, girsanov, suite
 from lagrangeflow.cli import main
 
 from conftest import threads
@@ -252,9 +252,9 @@ def test_seeds_and_alphas_out_of_reach_exit_2_before_any_work(argv, field,
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for module in (cli, suite):
-        monkeypatch.setattr(module, "simulate_pu", no_work)
-        monkeypatch.setattr(module, "simulate_wiener", no_work)
+    # every simulation and every path functional walks through walk_pieces
+    for module in (engine, girsanov, action):
+        monkeypatch.setattr(module, "walk_pieces", no_work)
     monkeypatch.setattr(cli.catalog, "probe_residuals", no_work)
     code, out, err = run_cli([*argv[:1], "--N", "10", "--M", "4", *argv[1:]])
     assert code == 2 and out == "" and field in err
