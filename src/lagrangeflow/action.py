@@ -30,6 +30,7 @@ from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_err
 from .martingale import bonferroni_quantile, z_scores
 
 FD_EPS = 1e-2       # the finite-difference oracle's step along each probe
+FOLD_PATHS = 256    # paths per analytic-kernel fold, fixed like engine.PIECE_PATHS
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,10 @@ def _analytic_kernel(case: FlowCase, grid: TimeGrid):
     """kernel(x, v, profiles, out): per-path sum_k (<v_k, hdot_k>
     - <grad p(1 - t_k, X_k), h_k>) dt of a piece into out, (J, P).
 
-    The piece adds grad p for k < M, the shape of v, and a few (P, M) arrays.
-    Inner products add components from zero in order, as ``.sum(axis=-1)``
-    does, and each contiguous integrand row is summed whole.
+    The piece adds grad p for k < M, the shape of v, and three (FOLD_PATHS, M)
+    planes through which each probe folds FOLD_PATHS paths at a time.  Inner
+    products add components from zero in order, as ``.sum(axis=-1)`` does, and
+    each contiguous integrand row is summed whole, whatever the fold.
     """
     grad_p, times, m, dt = case.pressure.gradient, grid.times, grid.steps, grid.dt
 
@@ -158,14 +160,24 @@ def _analytic_kernel(case: FlowCase, grid: TimeGrid):
         # start at +0, which leaves every bit as it is; a non-finite v or
         # grad p would add nan there instead, so then every component is added
         finite = np.isfinite(v).all() and np.isfinite(gp).all()
+        planes = np.empty((3, min(len(v), FOLD_PATHS), m))
         for (base, dbase, weight), row in zip(profiles, out):
-            kinetic, potential = np.zeros((2, len(v), m))
-            for j in range(3):
-                if finite and not weight[:, j].any():
-                    continue
-                kinetic += v[..., j] * (dbase[:m] * weight[:, j, None])
-                potential += gp[..., j] * (base[:m] * weight[:, j, None])
-            np.multiply((kinetic - potential).sum(axis=1), dt, out=row)
+            columns = [j for j in range(3) if not finite or weight[:, j].any()]
+            for lo in range(0, len(v), FOLD_PATHS):
+                hi = min(lo + FOLD_PATHS, len(v))
+                kinetic, potential, product = planes[:, :hi - lo]
+                w = weight if len(weight) == 1 else weight[lo:hi]
+                kinetic.fill(0.0)
+                potential.fill(0.0)
+                for j in columns:
+                    for acc, field, profile in ((kinetic, v, dbase), (potential, gp, base)):
+                        # field * (profile * weight); a per-path factor is built in
+                        # product, where the field multiplies it in place
+                        factor = (profile[:m] * w[:, j, None] if len(w) == 1 else
+                                  np.multiply(profile[:m], w[:, j, None], out=product))
+                        acc += np.multiply(field[lo:hi, :, j], factor, out=product)
+                np.subtract(kinetic, potential, out=kinetic)
+                np.multiply(kinetic.sum(axis=1), dt, out=row[lo:hi])
 
     return kernel
 

@@ -15,7 +15,8 @@ from lagrangeflow import (FlowCase, PressureField,
                           sine_perturbation, stochastic_action)
 
 from lagrangeflow import catalog, suite
-from lagrangeflow.action import (FD_EPS, _analytic_kernel, _tables,
+from lagrangeflow.action import (DICTIONARIES, FD_EPS, FOLD_PATHS,
+                                 _analytic_kernel, _tables,
                                  criticality_report, criticality_tables)
 from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS
 
@@ -138,6 +139,47 @@ def _analytic_reference(case, ensemble, dictionary):
     return np.array(rows)
 
 
+def _whole_piece_kernel(case, grid):
+    # the analytic kernel that contracts a whole piece at once, with (P, M)
+    # kinetic and potential sums per probe: the reference the folded kernel
+    # must match bit for bit
+    grad_p, times, m, dt = case.pressure.gradient, grid.times, grid.steps, grid.dt
+
+    def kernel(x, v, profiles, out):
+        gp = np.empty_like(v)
+        for k in range(m):
+            gp[:, k] = grad_p(1.0 - times[k], x[k])
+        finite = np.isfinite(v).all() and np.isfinite(gp).all()
+        for (base, dbase, weight), row in zip(profiles, out):
+            kinetic, potential = np.zeros((2, len(v), m))
+            for j in range(3):
+                if finite and not weight[:, j].any():
+                    continue
+                kinetic += v[..., j] * (dbase[:m] * weight[:, j, None])
+                potential += gp[..., j] * (base[:m] * weight[:, j, None])
+            np.multiply((kinetic - potential).sum(axis=1), dt, out=row)
+
+    return kernel
+
+
+# both sides of a fold's edge, and pieces ending one path past a fold
+_FOLD_EDGES = [1, 2, FOLD_PATHS - 1, FOLD_PATHS, FOLD_PATHS + 1, PIECE_PATHS - 1,
+               PIECE_PATHS + 1, 2 * PIECE_PATHS + 1]
+
+
+@pytest.mark.parametrize("n", _FOLD_EDGES)
+@pytest.mark.parametrize("name", case_names())
+def test_folded_kernel_equals_the_whole_piece_kernel(name, n):
+    case = get_case(name)
+    for make in DICTIONARIES.values():
+        dictionary = make()
+        for threads in ("1", "2", "8"):
+            with _threads(threads):
+                got = _tables(case, n, 6, SEED, dictionary, [_analytic_kernel])
+                want = _tables(case, n, 6, SEED, dictionary, [_whole_piece_kernel])
+            assert got.tobytes() == want.tobytes(), (len(dictionary), threads)
+
+
 @pytest.mark.parametrize("name, fixture", [("taylor_green", "tg_ensemble"),
                                            ("lamb_oseen", "lo_ensemble")])
 def test_fd_over_dictionary_equals_per_probe_loop(name, fixture, request):
@@ -195,7 +237,9 @@ def test_least_action_scratch_is_a_few_path_arrays():
     # one worker: beyond the (J, N) table, a piece's positions x (M+1, P, 3),
     # drift v (P, M, 3) and grad p (P, M, 3), and eight (P, 3) slices (one
     # step's field values, the gate weights), the contractions may hold no
-    # more than four (P, M) float64 arrays at once, P = PIECE_PATHS
+    # more than three (FOLD_PATHS, M) float64 planes, P = PIECE_PATHS, and the
+    # buffers numpy's ufuncs take for broadcast operands (np.getbufsize()
+    # elements each, two at once for a per-path factor)
     case = get_case("taylor_green")
     n, m, p = N_SMALL, M_SMALL, PIECE_PATHS
     with _threads("1"):
@@ -210,7 +254,8 @@ def test_least_action_scratch_is_a_few_path_arrays():
     table_bytes = len(default_dictionary()) * n * 8
     x_bytes, v_bytes, gp_bytes = (m + 1) * p * 3 * 8, p * m * 3 * 8, p * m * 3 * 8
     slices = 8 * p * 3 * 8
-    assert peak < table_bytes + x_bytes + v_bytes + gp_bytes + slices + 4 * p * m * 8
+    planes, buffers = 3 * FOLD_PATHS * m * 8, 2 * np.getbufsize() * 8
+    assert peak < table_bytes + x_bytes + v_bytes + gp_bytes + slices + planes + buffers
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -236,6 +281,36 @@ def test_analytic_table_adds_every_component_of_a_non_finite_drift(tg_ensemble):
     assert np.isnan(table[np.ix_(planar, hit)]).all()
     assert np.array_equal(table[:, ~hit],
                           _tables(case, *SMALL, dictionary, [_analytic_kernel])[0][:, ~hit])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_drift_in_one_fold_leaves_the_other_folds_clean():
+    # an infinite v_3 at step 2 of two paths in the third fold of a piece:
+    # those paths turn nan in the e1 and e2 probes as the whole-piece kernel
+    # has them, and every other path, in that fold or the clean ones, keeps
+    # its value
+    case = get_case("taylor_green")
+    n, m = PIECE_PATHS, 6
+    hit = np.zeros(n, dtype=bool)
+    hit[[2 * FOLD_PATHS + 7, 3 * FOLD_PATHS - 1]] = True
+    marks = simulate_pu(case, n, m, SEED).positions[hit, 2]
+
+    def u(t, x):
+        out = case.velocity.eval(t, x)
+        at_mark = (x[:, None] == marks).all(axis=-1).any(axis=-1)
+        out[..., 2] = np.where(at_mark, np.inf, out[..., 2])
+        return out
+
+    bad = dataclasses.replace(case, velocity=dataclasses.replace(case.velocity, eval=u))
+    dictionary = default_dictionary()
+    planar = [i for i, h in enumerate(dictionary) if h.label[-2:] in ("e1", "e2")]
+    with _threads("1"):
+        table = _tables(bad, n, m, SEED, dictionary, [_analytic_kernel])[0]
+        want = _tables(bad, n, m, SEED, dictionary, [_whole_piece_kernel])[0]
+        clean = _tables(case, n, m, SEED, dictionary, [_analytic_kernel])[0]
+    assert table.tobytes() == want.tobytes()
+    assert len(planar) == 4 and np.isnan(table[np.ix_(planar, hit)]).all()
+    assert np.array_equal(table[:, ~hit], clean[:, ~hit])
 
 
 @pytest.mark.parametrize("estimator", [least_action_check, action_derivatives_fd])
