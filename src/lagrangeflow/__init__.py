@@ -14,10 +14,8 @@ from .catalog import (UnknownCaseError, case_names, fd_residual_oracle,
                       get_case, make_frozen_taylor_green, make_lamb_oseen,
                       make_taylor_green, make_taylor_green_rotated,
                       make_zero_flow, ns_residual, probe_grid, probe_residuals)
-from .engine import (CapacityError, GridMismatchError, PathEnsemble,
-                     ProcessSample, TagMismatchError, TimeGrid,
-                     drift_process, simulate_pu, simulate_wiener,
-                     worker_count)
+from .engine import (CapacityError, PathEnsemble, ProcessSample, TimeGrid,
+                     drift_process, simulate_pu, simulate_wiener, worker_count)
 from .fields import FlowCase, PressureField, VelocityField, rotated_case
 from .girsanov import (EstimateWithError, action_entropy_identity,
                        estimate_Zp, log_density_pu, mean_with_error,

@@ -212,9 +212,8 @@ def _cmd_residual(cfg):
 
 
 def _cmd_el_test(cfg):
-    case = _require_case(cfg)
-    ensemble = simulate_pu(case, cfg["N"], cfg["M"], cfg["seed"])
-    components = [r.to_dict() for r in el_reports(case, ensemble, cfg["alpha"])]
+    ensemble = simulate_pu(_require_case(cfg), cfg["N"], cfg["M"], cfg["seed"])
+    components = [r.to_dict() for r in el_reports(ensemble, cfg["alpha"])]
     verdict = "pass" if all(c["verdict"] == "pass" for c in components) else "fail"
     return {"case": cfg["case"], "components": components, "verdict": verdict,
             "max_abs_z": max(c["max_abs_z"] for c in components)}, 0
@@ -255,10 +254,10 @@ def _cmd_noether(cfg):
     ensemble = simulate_pu(case, cfg["N"], cfg["M"], cfg["seed"])
     if cfg["generator"] == "rotation_e3":
         process = noether_rotation_closed_form(
-            case, ensemble, include_compensator=not cfg["ablate_compensator"])
+            ensemble, include_compensator=not cfg["ablate_compensator"])
     else:
-        process = noether_process_general(case, ensemble, gen)
-    report = martingale_test(process, ensemble, alpha=cfg["alpha"])
+        process = noether_process_general(ensemble, gen)
+    report = martingale_test(process, alpha=cfg["alpha"])
     return {**head, "process": process.label, "martingale": report.to_dict(),
             "verdict": report.verdict}, 0
 

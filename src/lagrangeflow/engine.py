@@ -10,8 +10,9 @@ with the same arguments is bit-exact and independent of how many workers run
 the blocks.  Workers draw a block's increments in fixed pieces, in order,
 and walk each piece on its own; ``walk_pieces`` hands every walked piece, with
 the drift it used, to a visitor, so an estimator can read the paths without
-an ensemble.  Ensembles store only their positions, time-major, and redraw
-the increments whenever they are asked for.
+an ensemble.  Ensembles store their positions, time-major, and the flow they
+were drawn under, and redraw the increments whenever they are asked for; a
+process sample stores the ensemble whose paths it was built on.
 
 Novikov's condition holds automatically for the bounded catalog fields, so
 the change-of-measure density is a true martingale; nothing is checked at
@@ -34,16 +35,7 @@ BLOCK_PATHS = 8192          # fixed; never derived from the worker count
 CHUNK_FLOOR = 2048          # paths per worker at the least, fixed likewise
 PIECE_PATHS = 1024          # paths per simulation piece, fixed likewise
 
-WIENER_TAG = "wiener"
 WIENER_SEED_OFFSET = 1      # a drifted ensemble's Wiener companion uses seed + 1
-
-
-class TagMismatchError(ValueError):
-    """An operation received an ensemble generated under the wrong measure."""
-
-
-class GridMismatchError(ValueError):
-    """Two samples or ensembles do not share the same time grid."""
 
 
 class CapacityError(MemoryError):
@@ -82,17 +74,25 @@ class PathEnsemble:
     positions[:, k] that every estimator reads is contiguous.  noise has shape
     (N, M, 3) and holds the raw increments; it is not stored but regenerated
     from the Philox stream at each access, bit for bit the increments the
-    simulation used.  Both arrays are read-only.
+    simulation used.  Both arrays are read-only.  case is the flow whose law
+    drew the paths, None for Wiener measure.
     """
 
     grid: TimeGrid
     positions: Array
-    measure_tag: str
+    case: FlowCase | None
     seed: int
 
     @property
     def n_paths(self) -> int:
         return self.positions.shape[0]
+
+    @property
+    def flow(self) -> FlowCase:
+        """case, refused with ValueError under Wiener measure: no flow to read."""
+        if self.case is None:
+            raise ValueError("a Wiener ensemble has no flow to build a process on")
+        return self.case
 
     @property
     def noise(self) -> Array:
@@ -106,16 +106,27 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class ProcessSample:
-    """An adapted process evaluated on the ensemble grid.
+    """An adapted process evaluated on the paths of an ensemble.
 
     values has shape (N, M+1) for scalar processes or (N, M+1, 3) for vector
-    ones.  Builders in this package only read path data up to the current
-    index, which is what makes the sample adapted.
+    ones, N and M+1 those of ensemble.positions.  Builders in this package
+    only read path data up to the current index, which is what makes the
+    sample adapted.
     """
 
-    grid: TimeGrid
+    ensemble: PathEnsemble
     values: Array
     label: str
+
+    def __post_init__(self):
+        n_m = self.ensemble.positions.shape[:2]
+        if self.values.shape[:2] != n_m:
+            raise ValueError(f"values of shape {self.values.shape} are not on the "
+                             f"ensemble's {n_m[0]} paths and {n_m[1]} times")
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.ensemble.grid
 
     @property
     def is_vector(self) -> bool:
@@ -123,7 +134,7 @@ class ProcessSample:
 
     def component(self, i: int) -> "ProcessSample":
         """Scalar component i of a vector sample, labelled "<label>[i+1]"."""
-        return ProcessSample(self.grid, self.values[:, :, i],
+        return ProcessSample(self.ensemble, self.values[:, :, i],
                              f"{self.label}[{i + 1}]")
 
 
@@ -242,7 +253,7 @@ def walk_pieces(case, n_paths: int, steps: int, seed: int, visit) -> None:
     _run_workers(worker, n_paths, (rows, steps, 3), (steps + 1, rows, 3))
 
 
-def _simulate(case, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsemble:
+def _simulate(case, n_paths: int, steps: int, seed: int) -> PathEnsemble:
     _check_scale(n_paths, steps, seed)
     buffer = _alloc((steps + 1, n_paths, 3))
 
@@ -251,32 +262,17 @@ def _simulate(case, n_paths: int, steps: int, seed: int, tag: str) -> PathEnsemb
 
     walk_pieces(case, n_paths, steps, seed, copy)
     buffer.flags.writeable = False
-    return PathEnsemble(TimeGrid(steps), buffer.transpose(1, 0, 2), tag, seed)
-
-
-def pu_tag(case: FlowCase) -> str:
-    return f"P_u({case.name})"
+    return PathEnsemble(TimeGrid(steps), buffer.transpose(1, 0, 2), case, seed)
 
 
 def simulate_pu(case: FlowCase, n_paths: int, steps: int, seed: int) -> PathEnsemble:
     """Euler-Maruyama ensemble with drift -u(1 - t, x) and unit dispersion."""
-    return _simulate(case, n_paths, steps, seed, pu_tag(case))
+    return _simulate(case, n_paths, steps, seed)
 
 
 def simulate_wiener(n_paths: int, steps: int, seed: int) -> PathEnsemble:
     """Driftless ensemble: discretized standard Brownian motion from 0."""
-    return _simulate(None, n_paths, steps, seed, WIENER_TAG)
-
-
-def require_tag(ensemble: PathEnsemble, tag: str) -> None:
-    if ensemble.measure_tag != tag:
-        raise TagMismatchError(
-            f"ensemble carries measure {ensemble.measure_tag!r}, expected {tag!r}")
-
-
-def require_same_grid(a, b) -> None:
-    if a.grid.steps != b.grid.steps:
-        raise GridMismatchError(f"grids differ: {a.grid.steps} vs {b.grid.steps}")
+    return _simulate(None, n_paths, steps, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +284,16 @@ def drift_slice(case: FlowCase, t: float, x: Array) -> Array:
     return np.negative(case.velocity.eval(1.0 - t, x))
 
 
-def adapted_process(case: FlowCase, ensemble: PathEnsemble, label: str,
+def adapted_process(ensemble: PathEnsemble, label: str,
                     point=None, step=None) -> ProcessSample:
     """value_k + sum_{j=1..k} step(slice j-1, slice j) on a drifted ensemble:
-    (value_k, aux_k) = point(t_k, X_k, v_k), v_k = -u(1 - t_k, X_k), or (v_k,
-    None) without a point, and slice k = (t_k, X_k, v_k, aux_k).  One pass a
-    slice: u is evaluated once, point before step, each output slice is written
-    once, the sum adds in ``np.cumsum``'s order from slice 1."""
-    require_tag(ensemble, pu_tag(case))
-    x = ensemble.positions
-    values = np.empty(x.shape) if point is None else None
+    (value_k, aux_k) = point(t_k, X_k, v_k), v_k = -u(1 - t_k, X_k) for u the
+    ensemble's flow, or (v_k, None) without a point, and slice k = (t_k, X_k,
+    v_k, aux_k).  One pass a slice: u is evaluated once, point before step,
+    each output slice is written once, the sum adds in ``np.cumsum``'s order
+    from slice 1.  A Wiener ensemble is refused with ValueError."""
+    case, x, values = ensemble.flow, ensemble.positions, None
     for k, t in enumerate(ensemble.grid.times):
-        if point is None and step is None:      # the drift, in one pass a slice
-            np.negative(case.velocity.eval(1.0 - t, x[:, k]), out=values[:, k])
-            continue
         here = (t, x[:, k], drift_slice(case, t, x[:, k]))
         value, aux = (here[2], None) if point is None else point(*here)
         here += (aux,)
@@ -314,11 +306,11 @@ def adapted_process(case: FlowCase, ensemble: PathEnsemble, label: str,
             running = term if k == 1 else running + term    # cumsum's order
             np.add(value, running, out=values[:, k])
         prev = here
-    return ProcessSample(ensemble.grid, values, label)
+    return ProcessSample(ensemble, values, label)
 
 
-def drift_process(case: FlowCase, ensemble: PathEnsemble, *, step=None) -> ProcessSample:
+def drift_process(ensemble: PathEnsemble, *, step=None) -> ProcessSample:
     """The realized drift v[n, k] = -u(1 - t_k, X[n, k]) along each path (the
     momentum dL/dv = v of the kinetic-minus-pressure Lagrangian), plus the
     running sum of step if given, as in adapted_process: el_process adds grad p."""
-    return adapted_process(case, ensemble, f"drift({case.name})", step=step)
+    return adapted_process(ensemble, f"drift({ensemble.flow.name})", step=step)

@@ -21,7 +21,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .engine import PathEnsemble, ProcessSample, require_same_grid
+from .engine import ProcessSample
 
 CLIP_SQ_AT = 10.0
 ZERO_MEAN_TOL = 1e-14      # see z_scores
@@ -101,25 +101,20 @@ def _products(d_p: np.ndarray, x: np.ndarray, values: np.ndarray):
     yield np.multiply(d_p, np.minimum(x1**2 + x2**2 + x3**2, CLIP_SQ_AT), order="C")
 
 
-def martingale_test(sample: ProcessSample, ensemble: PathEnsemble,
-                    alpha: float = 0.01) -> MartingaleTestReport:
+def martingale_test(sample: ProcessSample, alpha: float = 0.01) -> MartingaleTestReport:
     """Bonferroni test of E[dP_k * psi_j] = 0 over all (j, k) cells.
 
-    ``sample`` must be scalar valued, on the ensemble's paths and grid;
-    vector processes are tested one component at a time by the caller.  The
-    test functions psi_j are the fixed ``TEST_FUNCTIONS``, read at the left
-    point k of each cell from the ensemble's positions and the sample's
-    values, so every one is adapted.
+    ``sample`` must be scalar valued; vector processes are tested one
+    component at a time by the caller.  The test functions psi_j are the
+    fixed ``TEST_FUNCTIONS``, read at the left point k of each cell from the
+    positions of the sample's ensemble and from its values, so every one is
+    adapted.
     """
     if sample.is_vector:
         raise ValueError("martingale_test takes scalar samples; "
                          "test vector processes per component")
-    require_same_grid(sample, ensemble)
     values = np.asarray(sample.values, dtype=float)
     n, m = values.shape[0], sample.grid.steps
-    if n != ensemble.n_paths:
-        raise ValueError(f"the sample has {n} paths and the ensemble "
-                         f"{ensemble.n_paths}; both must come from one ensemble")
     if n < 2:
         raise ValueError("martingale_test needs N >= 2 paths for a standard error")
     # path-major increments and products, so each cell mean sums its N
@@ -127,7 +122,8 @@ def martingale_test(sample: ProcessSample, ensemble: PathEnsemble,
     d_p = np.subtract(values[:, 1:], values[:, :-1], order="C")
     stat = np.empty((len(TEST_FUNCTIONS), m))
     se = np.empty_like(stat)
-    for j, y in enumerate(_products(d_p, ensemble.positions[:, :m], values[:, :m])):
+    for j, y in enumerate(_products(d_p, sample.ensemble.positions[:, :m],
+                                    values[:, :m])):
         stat[j] = y.mean(axis=0)
         se[j] = y.std(axis=0, ddof=1) / np.sqrt(n)
     z = z_scores(stat, se)
@@ -146,18 +142,16 @@ def richardson_bias_probe(builder, steps: int, seed: int = 0,
                           alpha: float = 0.01) -> dict:
     """Separate discretization bias from statistical noise by grid doubling.
 
-    ``builder(steps, seed)`` must return a (scalar ProcessSample, ensemble)
-    pair built fresh at that resolution.  The probe runs at ``steps`` and at
-    ``2 * steps`` with fresh seeds and compares the worst-cell drift rate
-    max_{j,k} |statistic| / dt.  Genuine drift is resolution independent
-    (ratio near 1); a true martingale's discretization bias halves; when no
-    cell clears 5 standard errors the probe reports
-    "noise-dominated" instead of a meaningless ratio.
+    ``builder(steps, seed)`` must return a scalar ProcessSample on an
+    ensemble simulated fresh at that resolution; the sample carries its
+    paths.  The probe runs at ``steps`` and at ``2 * steps`` with fresh seeds
+    and compares the worst-cell drift rate max_{j,k} |statistic| / dt.
+    Genuine drift is resolution independent (ratio near 1); a true
+    martingale's discretization bias halves; when no cell clears 5 standard
+    errors the probe reports "noise-dominated" instead of a meaningless ratio.
     """
-    reports = []
-    for i, m in enumerate((steps, 2 * steps)):
-        sample, ensemble = builder(m, seed + 1 + i)
-        reports.append(martingale_test(sample, ensemble, alpha=alpha))
+    reports = [martingale_test(builder(m, seed + 1 + i), alpha=alpha)
+               for i, m in enumerate((steps, 2 * steps))]
     rate = [float(np.abs(r.statistic).max() * r.m_used) for r in reports]
     resolved = min(r.max_abs_z for r in reports) >= 5.0
     return {

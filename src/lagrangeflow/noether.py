@@ -88,24 +88,22 @@ def get_generator(name: str) -> GeneratorField:
 # ---------------------------------------------------------------------------
 # invariant processes
 
-def el_process(case: FlowCase, ensemble: PathEnsemble) -> ProcessSample:
+def el_process(ensemble: PathEnsemble) -> ProcessSample:
     """Euler-Lagrange candidate: drift plus accumulated pressure gradient,
     built in the drift's own pass (bench/tracer.py times ``drift_process``)."""
-    grad_p, dt = case.pressure.gradient, ensemble.grid.dt
-    drift = drift_process(case, ensemble, step=lambda prev, here:
-                          grad_p(1.0 - prev[0], prev[1]) * dt)
-    return ProcessSample(drift.grid, drift.values, f"el({case.name})")
+    case, dt = ensemble.flow, ensemble.grid.dt
+    drift = drift_process(ensemble, step=lambda prev, here:
+                          case.pressure.gradient(1.0 - prev[0], prev[1]) * dt)
+    return ProcessSample(ensemble, drift.values, f"el({case.name})")
 
 
-def el_reports(case: FlowCase, ensemble: PathEnsemble, alpha: float) -> list:
-    """The martingale test of each component of ``el_process(case, ensemble)``."""
-    process = el_process(case, ensemble)
-    return [martingale_test(process.component(i), ensemble, alpha=alpha)
-            for i in range(3)]
+def el_reports(ensemble: PathEnsemble, alpha: float) -> list:
+    """The martingale test of each component of ``el_process(ensemble)``."""
+    process = el_process(ensemble)
+    return [martingale_test(process.component(i), alpha=alpha) for i in range(3)]
 
 
-def noether_process_general(case: FlowCase, ensemble: PathEnsemble,
-                            gen: GeneratorField) -> ProcessSample:
+def noether_process_general(ensemble: PathEnsemble, gen: GeneratorField) -> ProcessSample:
     """Invariant process for an arbitrary generator, with empirical bracket.
 
     The covariation term is estimated pathwise from products of increments of
@@ -120,11 +118,11 @@ def noether_process_general(case: FlowCase, ensemble: PathEnsemble,
     def step(prev, here):       # minus the bracket: a - b == a + (-b) bit for bit
         return -((here[3] - prev[3]) * (here[2] - prev[2])).sum(axis=-1)
 
-    return adapted_process(case, ensemble, f"noether({gen.name},{case.name})",
+    return adapted_process(ensemble, f"noether({gen.name},{ensemble.flow.name})",
                            point, step)
 
 
-def noether_rotation_closed_form(case: FlowCase, ensemble: PathEnsemble,
+def noether_rotation_closed_form(ensemble: PathEnsemble,
                                  include_compensator: bool = True) -> ProcessSample:
     """Kinetic momentum about e3 with its curl compensator.
 
@@ -132,12 +130,12 @@ def noether_rotation_closed_form(case: FlowCase, ensemble: PathEnsemble,
     Dropping the compensator (the ablation) leaves the raw kinetic momentum,
     which is not a martingale unless the vorticity vanishes.
     """
-    curl, dt = case.velocity.curl, ensemble.grid.dt
+    case, dt = ensemble.flow, ensemble.grid.dt
     label = "noether_rotation" if include_compensator else "kinetic_momentum"
     return adapted_process(
-        case, ensemble, f"{label}({case.name})",
+        ensemble, f"{label}({case.name})",
         lambda t, x, v: (x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0], None),
-        (lambda prev, here: curl(1.0 - prev[0], prev[1])[..., 2] * dt)
+        (lambda prev, here: case.velocity.curl(1.0 - prev[0], prev[1])[..., 2] * dt)
         if include_compensator else None)
 
 

@@ -130,16 +130,6 @@ def criterion_1_residual_oracle(scale: SuiteScale, cache: _EnsembleCache) -> dic
             "passed": all(d["ok"] for d in details.values()), "details": details}
 
 
-def _el_builder(case_name, n_paths, component):
-    case = catalog.get_case(case_name)
-
-    def build(steps, seed):
-        ens = simulate_pu(case, n_paths, steps, seed)
-        return el_process(case, ens).component(component), ens
-
-    return build
-
-
 def criterion_2_el_dichotomy(scale: SuiteScale, cache: _EnsembleCache) -> dict:
     """Euler-Lagrange martingale test passes per component for the exact
     solutions, fails with max |z| >= 10 for the frozen control, and the
@@ -147,11 +137,13 @@ def criterion_2_el_dichotomy(scale: SuiteScale, cache: _EnsembleCache) -> dict:
     details = {}
     for name in ("taylor_green", "lamb_oseen"):
         # no ensemble or EL process outlives el_reports into the probe
-        comp_reports = el_reports(catalog.get_case(name), cache(name), scale.alpha)
+        comp_reports = el_reports(cache(name), scale.alpha)
         passed = all(r.passed for r in comp_reports)
+        case = catalog.get_case(name)
         probe = richardson_bias_probe(
-            _el_builder(name, scale.n_paths, 0), scale.steps // 2,
-            seed=scale.seed + 100, alpha=scale.alpha)
+            lambda steps, seed: el_process(simulate_pu(
+                case, scale.n_paths, steps, seed)).component(0),
+            scale.steps // 2, seed=scale.seed + 100, alpha=scale.alpha)
         probe_ok = (probe["flag"] == "noise-dominated"
                     or 1.4 <= probe["ratio"] <= 3.0)
         details[name] = {
@@ -161,9 +153,8 @@ def criterion_2_el_dichotomy(scale: SuiteScale, cache: _EnsembleCache) -> dict:
             "richardson": probe,
             "ok": passed and probe_ok,
         }
-    frozen = catalog.get_case("frozen_taylor_green")
-    reports = el_reports(frozen, simulate_pu(frozen, scale.n_paths, scale.steps,
-                                             scale.seed), scale.alpha)
+    reports = el_reports(simulate_pu(catalog.get_case("frozen_taylor_green"),
+                                     scale.n_paths, scale.steps, scale.seed), scale.alpha)
     max_z = max(r.max_abs_z for r in reports)
     details["frozen_taylor_green"] = {
         "max_abs_z": max_z,
@@ -244,11 +235,11 @@ def criterion_5_translation_noether(scale: SuiteScale, cache: _EnsembleCache) ->
     gen = get_generator("translation_e3")
     gate = symmetry_check(case, gen)
     ens = cache("taylor_green")
-    momentum = noether_process_general(case, ens, gen)
+    momentum = noether_process_general(ens, gen)
     u, x = case.velocity.eval, ens.positions      # v_3 one time slice at a time
     consistent = all(np.array_equal(momentum.values[:, k], -u(1.0 - t, x[:, k])[:, 2])
                      for k, t in enumerate(ens.grid.times))
-    report = martingale_test(momentum, ens, alpha=scale.alpha)
+    report = martingale_test(momentum, alpha=scale.alpha)
 
     code, _ = _run_cli(["noether", "--case", "taylor_green_rotated",
                         "--generator", "translation_e3",
@@ -268,14 +259,11 @@ def criterion_5_translation_noether(scale: SuiteScale, cache: _EnsembleCache) ->
 def criterion_6_rotation_noether(scale: SuiteScale, cache: _EnsembleCache) -> dict:
     """Compensated kinetic momentum is a martingale for the vortex; the
     ablation without the curl compensator fails loudly."""
-    case = catalog.get_case("lamb_oseen")
-    gate = symmetry_check(case, get_generator("rotation_e3"))
+    gate = symmetry_check(catalog.get_case("lamb_oseen"), get_generator("rotation_e3"))
     ens = cache("lamb_oseen")
-    full = martingale_test(noether_rotation_closed_form(case, ens), ens,
-                           alpha=scale.alpha)
+    full = martingale_test(noether_rotation_closed_form(ens), alpha=scale.alpha)
     ablated = martingale_test(
-        noether_rotation_closed_form(case, ens, include_compensator=False),
-        ens, alpha=scale.alpha)
+        noether_rotation_closed_form(ens, include_compensator=False), alpha=scale.alpha)
     passed = (gate.within_gate and full.passed
               and not ablated.passed and ablated.max_abs_z >= 5.0)
     return {"criterion": 6, "name": "rotation_noether", "passed": passed,
@@ -288,9 +276,9 @@ def criterion_6_rotation_noether(scale: SuiteScale, cache: _EnsembleCache) -> di
             }}
 
 
-def _bracket_gaps(case, ens):
-    gen = noether_process_general(case, ens, get_generator("rotation_e3"))
-    closed = noether_rotation_closed_form(case, ens)
+def _bracket_gaps(ens):
+    gen = noether_process_general(ens, get_generator("rotation_e3"))
+    closed = noether_rotation_closed_form(ens)
     diff = gen.values - closed.values
     return {
         "mean_abs": float(np.abs(diff).mean()),
@@ -303,10 +291,9 @@ def criterion_7_bracket_convergence(scale: SuiteScale, cache: _EnsembleCache) ->
     """Empirical bracket vs analytic compensator: the mean absolute gap obeys
     the 5/M envelope, and the mean-square gap (the estimator's noise energy,
     the part with a definite refinement rate) halves from M/2 to M."""
-    case = catalog.get_case("lamb_oseen")
-    fine = _bracket_gaps(case, cache("lamb_oseen"))
-    coarse = _bracket_gaps(case, simulate_pu(case, scale.n_paths, scale.steps // 2,
-                                             scale.seed + 71))
+    fine = _bracket_gaps(cache("lamb_oseen"))
+    coarse = _bracket_gaps(simulate_pu(catalog.get_case("lamb_oseen"), scale.n_paths,
+                                       scale.steps // 2, scale.seed + 71))
     envelope_ok = fine["mean_abs"] <= 5.0 / scale.steps
     ratio = coarse["mean_square"] / fine["mean_square"]
     ratio_ok = 1.6 <= ratio <= 2.6
@@ -328,13 +315,12 @@ def criterion_8_statistical_soundness(scale: SuiteScale, cache: _EnsembleCache) 
     drift_rejections = 0
     for i in range(runs):
         ens = simulate_wiener(n, m, scale.seed + NULL_SEED_OFFSET + i)
-        brownian = ProcessSample(ens.grid, ens.positions[:, :, 0], "brownian_1")
-        if not martingale_test(brownian, ens, alpha=scale.alpha).passed:
+        brownian = ProcessSample(ens, ens.positions[:, :, 0], "brownian_1")
+        if not martingale_test(brownian, alpha=scale.alpha).passed:
             false_rejections += 1
-        drift = ProcessSample(ens.grid,
-                              np.broadcast_to(ens.grid.times, (n, m + 1)),
+        drift = ProcessSample(ens, np.broadcast_to(ens.grid.times, (n, m + 1)),
                               "unit_drift")
-        if not martingale_test(drift, ens, alpha=scale.alpha).passed:
+        if not martingale_test(drift, alpha=scale.alpha).passed:
             drift_rejections += 1
     passed = false_rejections <= int(0.05 * runs) and drift_rejections >= runs - 1
     return {"criterion": 8, "name": "statistical_soundness", "passed": passed,

@@ -106,7 +106,7 @@ def _per_probe_fd(case, ensemble, h):
     x = ensemble.positions
     grid = ensemble.grid
     times = grid.times
-    v = drift_process(case, ensemble).values
+    v = drift_process(ensemble).values
     hv, hdv = _realize(h, ensemble)
     m = grid.steps
 
@@ -128,7 +128,7 @@ def _analytic_reference(case, ensemble, dictionary):
     # sum_k (<v_k, hdot_k> - <grad p(1 - t_k, X_k), h_k>) dt over k < M
     grid, x = ensemble.grid, ensemble.positions
     m = grid.steps
-    v = drift_process(case, ensemble).values[:, :m]
+    v = drift_process(ensemble).values[:, :m]
     gp = np.stack([case.pressure.gradient(1.0 - t, x[:, k])
                    for k, t in enumerate(grid.times[:m])], axis=1)
     rows = []

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagrangeflow import (CapacityError, TagMismatchError, TimeGrid,
-                          drift_process, get_case, simulate_pu, simulate_wiener,
-                          worker_count)
+from lagrangeflow import (CapacityError, TimeGrid, drift_process, get_case,
+                          simulate_pu, simulate_wiener, worker_count)
 from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS, walk_pieces
 
 from conftest import M_SMALL, N_SMALL, SEED, threads
@@ -203,7 +202,7 @@ def test_pu_martingale_part_is_centred(tg_ensemble):
 
 def test_drift_process_values(tg_ensemble, zero_ensemble):
     case = get_case("taylor_green")
-    v = drift_process(case, tg_ensemble)
+    v = drift_process(tg_ensemble)
     assert v.values.shape == tg_ensemble.positions.shape
     # at t=0 every path sits at the origin where the field vanishes
     assert np.all(v.values[:, 0, :] == 0.0)
@@ -213,16 +212,7 @@ def test_drift_process_values(tg_ensemble, zero_ensemble):
     for k in range(tg_ensemble.grid.steps + 1):
         expected = -case.velocity.eval(1.0 - times[k], tg_ensemble.positions[:, k])
         assert np.array_equal(v.values[:, k], expected)
-    zero = get_case("zero_flow")
-    assert np.all(drift_process(zero, zero_ensemble).values == 0.0)
-
-
-def test_drift_process_tag_mismatch(wiener_ensemble, tg_ensemble):
-    case = get_case("taylor_green")
-    with pytest.raises(TagMismatchError):
-        drift_process(case, wiener_ensemble)
-    with pytest.raises(TagMismatchError):
-        drift_process(get_case("lamb_oseen"), tg_ensemble)
+    assert np.all(drift_process(zero_ensemble).values == 0.0)
 
 
 def test_capacity_error():

@@ -6,7 +6,7 @@ import pytest
 
 from lagrangeflow import (get_case, martingale_test, richardson_bias_probe,
                           simulate_pu, simulate_wiener)
-from lagrangeflow.engine import BLOCK_PATHS, GridMismatchError, ProcessSample
+from lagrangeflow.engine import BLOCK_PATHS, ProcessSample
 from lagrangeflow.martingale import (CLIP_SQ_AT, TEST_FUNCTIONS, ZERO_MEAN_TOL,
                                      bonferroni_quantile)
 from lagrangeflow.noether import el_process
@@ -15,11 +15,11 @@ from conftest import M_SMALL, N_SMALL, SEED
 
 
 def brownian_component(ensemble, i=0, label="brownian"):
-    return ProcessSample(ensemble.grid, ensemble.positions[:, :, i], label)
+    return ProcessSample(ensemble, ensemble.positions[:, :, i], label)
 
 
 def test_brownian_component_passes(wiener_ensemble):
-    report = martingale_test(brownian_component(wiener_ensemble), wiener_ensemble)
+    report = martingale_test(brownian_component(wiener_ensemble))
     assert report.passed
     assert report.max_abs_z < report.threshold
     assert report.threshold == pytest.approx(
@@ -27,11 +27,11 @@ def test_brownian_component_passes(wiener_ensemble):
 
 
 def test_deterministic_drift_fails_with_infinite_sentinel(wiener_ensemble):
-    drift = ProcessSample(wiener_ensemble.grid,
+    drift = ProcessSample(wiener_ensemble,
                           np.broadcast_to(wiener_ensemble.grid.times,
                                           (N_SMALL, M_SMALL + 1)),
                           "unit_drift")
-    report = martingale_test(drift, wiener_ensemble)
+    report = martingale_test(drift)
     assert not report.passed
     # increments of t_k are deterministic and positive: cells either carry the
     # infinite sentinel (zero variance) or an enormous finite z
@@ -41,9 +41,8 @@ def test_deterministic_drift_fails_with_infinite_sentinel(wiener_ensemble):
 
 
 def test_constant_process_passes_with_zero_z(wiener_ensemble):
-    const = ProcessSample(wiener_ensemble.grid,
-                          np.zeros((N_SMALL, M_SMALL + 1)), "const")
-    report = martingale_test(const, wiener_ensemble)
+    const = ProcessSample(wiener_ensemble, np.zeros((N_SMALL, M_SMALL + 1)), "const")
+    report = martingale_test(const)
     assert report.passed and report.max_abs_z == 0.0
 
 
@@ -53,55 +52,50 @@ def test_accumulated_noise_products_are_martingale(wiener_ensemble):
     prods = wiener_ensemble.noise[:, :, 0] * wiener_ensemble.noise[:, :, 1]
     values = np.zeros((N_SMALL, M_SMALL + 1))
     values[:, 1:] = np.cumsum(prods, axis=1)
-    report = martingale_test(ProcessSample(wiener_ensemble.grid, values,
-                                           "levy_area_like"), wiener_ensemble)
+    report = martingale_test(ProcessSample(wiener_ensemble, values, "levy_area_like"))
     assert report.passed
 
 
 def test_single_path_rejected():
     ens = simulate_wiener(1, 4, 1)
     with pytest.raises(ValueError, match="N >= 2"):
-        martingale_test(brownian_component(ens), ens)
+        martingale_test(brownian_component(ens))
 
 
 def test_vector_sample_rejected(tg_ensemble):
     from lagrangeflow import drift_process
-    v = drift_process(get_case("taylor_green"), tg_ensemble)
+    v = drift_process(tg_ensemble)
     with pytest.raises(ValueError):
-        martingale_test(v, tg_ensemble)
+        martingale_test(v)
 
 
-def test_samples_of_different_n_refused():
-    # with one ensemble path, broadcasting would spread its coordinates over
-    # all 500 sample paths and the test would pass
-    sample = brownian_component(simulate_wiener(500, M_SMALL, 3))
-    for n in (1, 300):
-        with pytest.raises(ValueError, match=f"500 paths and the ensemble {n};"):
-            martingale_test(sample, simulate_wiener(n, M_SMALL, 4))
-
-
-def test_grid_mismatch(wiener_ensemble):
-    coarser = simulate_wiener(N_SMALL, M_SMALL // 2, 0)
-    with pytest.raises(GridMismatchError):
-        martingale_test(brownian_component(wiener_ensemble), coarser)
-    with pytest.raises(GridMismatchError):
-        martingale_test(brownian_component(coarser), wiener_ensemble)
+def test_sample_off_its_ensemble_refused():
+    # values must lie on the ensemble's N paths and M+1 times: fewer paths,
+    # more paths or another grid is refused; with one ensemble path,
+    # broadcasting would spread its coordinates over all 500 sample paths and
+    # the test would pass
+    values = simulate_wiener(500, M_SMALL, 3).positions[:, :, 0]
+    for n, m in ((1000, M_SMALL), (300, M_SMALL), (1, M_SMALL), (500, M_SMALL // 2)):
+        ens = simulate_wiener(n, m, 4)
+        with pytest.raises(ValueError, match=r"values of shape \(500, 101\) are not "
+                           f"on the ensemble's {n} paths and {m + 1} times"):
+            ProcessSample(ens, values, "brownian")
 
 
 def test_report_serialization(wiener_ensemble):
-    report = martingale_test(brownian_component(wiener_ensemble), wiener_ensemble)
+    report = martingale_test(brownian_component(wiener_ensemble))
     d = report.to_dict()
     assert d["J"] == 6 and d["M_used"] == M_SMALL
     assert len(d["cells"]["z"]) == 6
     assert "final_cell_max_abs_z" in d
 
 
-def _materialized_dictionary_cells(sample, ensemble):
+def _materialized_dictionary_cells(sample):
     """Reference: (statistic, std_error, z) from the six test functions held
     as (N, M) arrays, products taken one function at a time."""
     values = np.asarray(sample.values, dtype=float)
     n, m = values.shape[0], sample.grid.steps
-    x = ensemble.positions[:, :m, :]
+    x = sample.ensemble.positions[:, :m, :]
     dictionary = [np.ones((n, m)), x[:, :, 0], x[:, :, 1], x[:, :, 2],
                   values[:, :m], np.minimum((x**2).sum(axis=-1), CLIP_SQ_AT)]
     d_p = np.subtract(values[:, 1:], values[:, :-1], order="C")
@@ -120,18 +114,17 @@ def _materialized_dictionary_cells(sample, ensemble):
 
 def test_cells_equal_the_materialized_dictionary(wiener_ensemble, tg_ensemble):
     big = simulate_pu(get_case("taylor_green"), BLOCK_PATHS + 5, 8, SEED)
-    el = el_process(get_case("taylor_green"), tg_ensemble)
     times = np.broadcast_to(wiener_ensemble.grid.times, (N_SMALL, M_SMALL + 1))
-    cases = [
-        (brownian_component(wiener_ensemble, 1), wiener_ensemble),  # time-major
-        (el.component(0), tg_ensemble),                             # path-major
-        (ProcessSample(wiener_ensemble.grid, times, "t"), wiener_ensemble),
-        (brownian_component(big, 2), big),
-        (el_process(get_case("taylor_green"), big).component(1), big),
+    samples = [
+        brownian_component(wiener_ensemble, 1),         # time-major
+        el_process(tg_ensemble).component(0),           # path-major
+        ProcessSample(wiener_ensemble, times, "t"),
+        brownian_component(big, 2),
+        el_process(big).component(1),
     ]
-    for sample, ensemble in cases:
-        report = martingale_test(sample, ensemble)
-        stat, se, z = _materialized_dictionary_cells(sample, ensemble)
+    for sample in samples:
+        report = martingale_test(sample)
+        stat, se, z = _materialized_dictionary_cells(sample)
         assert report.j_labels == ("one", "x1", "x2", "x3", "self", "clip_sq")
         assert np.array_equal(report.statistic, stat), sample.label
         assert np.array_equal(report.std_error, se), sample.label
@@ -142,11 +135,11 @@ def test_scratch_is_four_path_arrays(wiener_ensemble):
     # increments, the previous and the current product, and std's temporary;
     # no (N, M) array of ones and no (N, M, 3) squares
     sample = brownian_component(wiener_ensemble)
-    martingale_test(sample, wiener_ensemble)
+    martingale_test(sample)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        martingale_test(sample, wiener_ensemble)
+        martingale_test(sample)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -156,8 +149,7 @@ def test_scratch_is_four_path_arrays(wiener_ensemble):
 class TestRichardsonProbe:
     def test_brownian_is_noise_dominated(self):
         def builder(steps, seed):
-            ens = simulate_wiener(2000, steps, seed)
-            return brownian_component(ens), ens
+            return brownian_component(simulate_wiener(2000, steps, seed))
 
         probe = richardson_bias_probe(builder, 50, seed=SEED)
         assert probe["flag"] == "noise-dominated"
@@ -167,8 +159,7 @@ class TestRichardsonProbe:
 
         def builder(steps, seed):
             ens = simulate_pu(case, 6000, steps, seed)
-            proc = el_process(case, ens)
-            return ProcessSample(ens.grid, proc.values[:, :, 0], "el1"), ens
+            return ProcessSample(ens, el_process(ens).values[:, :, 0], "el1")
 
         probe = richardson_bias_probe(builder, 50, seed=SEED)
         assert probe["flag"] == "resolved"

@@ -10,14 +10,14 @@ from lagrangeflow import (GeneratorField, ROTATION_E3, TRANSLATION_E3,
                           noether_process_general,
                           noether_rotation_closed_form, simulate_pu,
                           symmetry_check)
-from lagrangeflow.engine import ProcessSample
-from lagrangeflow.noether import SYMMETRY_GATE_TOL
+from lagrangeflow.engine import ProcessSample, adapted_process
+from lagrangeflow.noether import SYMMETRY_GATE_TOL, el_reports
 
 from conftest import M_SMALL, N_SMALL, SEED
 
 
 def scalar(sample, i):
-    return ProcessSample(sample.grid, sample.values[:, :, i],
+    return ProcessSample(sample.ensemble, sample.values[:, :, i],
                          f"{sample.label}[{i}]")
 
 
@@ -85,15 +85,15 @@ def test_slice_builders_equal_whole_array_construction(name, n):
     # bit for bit, signs of zero included
     case = get_case(name)
     ens = simulate_pu(case, n, 20, SEED)
-    assert (drift_process(case, ens).values.tobytes()
+    assert (drift_process(ens).values.tobytes()
             == _whole_array_drift(case, ens).tobytes())
-    assert (el_process(case, ens).values.tobytes()
+    assert (el_process(ens).values.tobytes()
             == _whole_array_el(case, ens).tobytes())
     for gen in (ROTATION_E3, TRANSLATION_E3):
-        got = noether_process_general(case, ens, gen).values
+        got = noether_process_general(ens, gen).values
         assert got.tobytes() == _whole_array_general(case, ens, gen).tobytes()
     for compensated in (True, False):
-        got = noether_rotation_closed_form(case, ens, compensated).values
+        got = noether_rotation_closed_form(ens, compensated).values
         assert got.tobytes() == _whole_array_rotation(case, ens, compensated).tobytes()
 
 
@@ -105,21 +105,22 @@ def _counted(fn, kind, slices):
 
 
 @pytest.mark.parametrize("build, want", [
-    (lambda case, ens, gen: drift_process(case, ens), {}),
-    (lambda case, ens, gen: el_process(case, ens), {"gradp": 0}),
+    (lambda ens, gen: drift_process(ens), {}),
+    (lambda ens, gen: el_process(ens), {"gradp": 0}),
     (noether_process_general, {"xi": 1}),
-    (lambda case, ens, gen: noether_rotation_closed_form(case, ens), {"curl": 0}),
-    (lambda case, ens, gen: noether_rotation_closed_form(case, ens, False), {}),
+    (lambda ens, gen: noether_rotation_closed_form(ens), {"curl": 0}),
+    (lambda ens, gen: noether_rotation_closed_form(ens, False), {}),
 ], ids=["drift", "el", "general", "closed_form", "closed_form_ablated"])
 def test_builders_evaluate_each_field_once_per_slice(build, want):
     # the calls of each field, M plus the offset listed: u and xi at each of
     # the M+1 slices, grad p and the curl (through the Jacobian) at each of
-    # the M left points, and nothing else
+    # the M left points, and nothing else; the builders read the counted case
+    # off the ensemble
     n, m, slices = 50, 12, {}
     base = get_case("lamb_oseen")
     ens = simulate_pu(base, n, m, SEED)
     u, p = base.velocity, base.pressure
-    case = dataclasses.replace(
+    counted = dataclasses.replace(
         base,
         velocity=dataclasses.replace(u, eval=_counted(u.eval, "u", slices),
                                      jacobian=_counted(u.jacobian, "curl", slices)),
@@ -127,16 +128,16 @@ def test_builders_evaluate_each_field_once_per_slice(build, want):
                                      gradient=_counted(p.gradient, "gradp", slices)))
     gen = GeneratorField("rotation_e3", _counted(ROTATION_E3.xi, "xi", slices),
                          ROTATION_E3.flow)
-    build(case, ens, gen)
+    build(dataclasses.replace(ens, case=counted), gen)
     assert slices == {kind: m + extra for kind, extra in {"u": 1, **want}.items()}
 
 
 @pytest.mark.parametrize("build, width", [
     (drift_process, 3),
     (el_process, 3),
-    (lambda case, ens: noether_process_general(case, ens, ROTATION_E3), 1),
+    (lambda ens: noether_process_general(ens, ROTATION_E3), 1),
     (noether_rotation_closed_form, 1),
-    (lambda case, ens: noether_rotation_closed_form(case, ens, False), 1),
+    (lambda ens: noether_rotation_closed_form(ens, False), 1),
 ], ids=["drift", "el", "general", "closed_form", "closed_form_ablated"])
 def test_builder_scratch_is_one_time_slice(build, width):
     # beyond its (N, M+1) or (N, M+1, 3) output a builder holds a few (N, 3)
@@ -144,56 +145,66 @@ def test_builder_scratch_is_one_time_slice(build, width):
     case = get_case("lamb_oseen")
     n, m = 4096, 50
     ens = simulate_pu(case, n, m, SEED)
-    peak = _peak_bytes(build, case, ens)
+    peak = _peak_bytes(build, ens)
     assert peak < n * (m + 1) * width * 8 + 20 * n * 3 * 8
+
+
+@pytest.mark.parametrize("build", [
+    lambda ens: adapted_process(ens, "v"),
+    drift_process,
+    el_process,
+    lambda ens: el_reports(ens, 0.01),
+    lambda ens: noether_process_general(ens, TRANSLATION_E3),
+    noether_rotation_closed_form,
+    lambda ens: noether_rotation_closed_form(ens, False),
+], ids=["adapted", "drift", "el", "el_reports", "general", "closed_form",
+        "closed_form_ablated"])
+def test_builders_refuse_a_wiener_ensemble(build, wiener_ensemble):
+    # Wiener paths carry no flow to read u, p or the curl from
+    with pytest.raises(ValueError, match="Wiener ensemble has no flow"):
+        build(wiener_ensemble)
 
 
 class TestElProcess:
     def test_zero_flow_is_identically_zero(self, zero_ensemble):
-        proc = el_process(get_case("zero_flow"), zero_ensemble)
+        proc = el_process(zero_ensemble)
         assert np.all(proc.values == 0.0)
 
     def test_taylor_green_components_pass(self, tg_ensemble):
-        case = get_case("taylor_green")
-        proc = el_process(case, tg_ensemble)
+        proc = el_process(tg_ensemble)
         for i in range(3):
-            report = martingale_test(scalar(proc, i), tg_ensemble)
+            report = martingale_test(scalar(proc, i))
             assert report.passed, (i, report.max_abs_z)
 
     def test_frozen_taylor_green_fails(self, frozen_ensemble):
-        case = get_case("frozen_taylor_green")
-        proc = el_process(case, frozen_ensemble)
-        reports = [martingale_test(scalar(proc, i), frozen_ensemble)
-                   for i in range(3)]
+        proc = el_process(frozen_ensemble)
+        reports = [martingale_test(scalar(proc, i)) for i in range(3)]
         assert any(not r.passed for r in reports)
         assert max(r.max_abs_z for r in reports) >= 4.0
 
 
 class TestNoetherProcesses:
     def test_translation_reduces_to_momentum(self, tg_ensemble):
-        case = get_case("taylor_green")
-        proc = noether_process_general(case, tg_ensemble, TRANSLATION_E3)
-        v3 = drift_process(case, tg_ensemble).values[:, :, 2]
+        proc = noether_process_general(tg_ensemble, TRANSLATION_E3)
+        v3 = drift_process(tg_ensemble).values[:, :, 2]
         assert np.array_equal(proc.values, v3)
 
     def test_zero_generator_gives_zero_process(self, tg_ensemble):
         zero_gen = GeneratorField("null", lambda t, x: np.zeros_like(x),
                                   lambda eps, x: x)
-        proc = noether_process_general(get_case("taylor_green"), tg_ensemble,
-                                       zero_gen)
+        proc = noether_process_general(tg_ensemble, zero_gen)
         assert np.all(proc.values == 0.0)
 
     def test_zero_flow_rotation_process_is_zero(self, zero_ensemble):
-        proc = noether_rotation_closed_form(get_case("zero_flow"), zero_ensemble)
+        proc = noether_rotation_closed_form(zero_ensemble)
         assert np.all(proc.values == 0.0)
 
     @pytest.mark.parametrize("name", ["taylor_green", "lamb_oseen"])
     def test_rotation_general_matches_closed_form(self, name, request):
         fixture = "tg_ensemble" if name == "taylor_green" else "lo_ensemble"
         ens = request.getfixturevalue(fixture)
-        case = get_case(name)
-        gen_proc = noether_process_general(case, ens, ROTATION_E3)
-        closed = noether_rotation_closed_form(case, ens)
+        gen_proc = noether_process_general(ens, ROTATION_E3)
+        closed = noether_rotation_closed_form(ens)
         diff = gen_proc.values - closed.values
         m = ens.grid.steps
         assert np.abs(diff).mean() <= 5.0 / m
@@ -207,22 +218,18 @@ class TestNoetherProcesses:
         stats = {}
         for m in (M_SMALL, 2 * M_SMALL):
             ens = simulate_pu(case, N_SMALL, m, SEED + 5)
-            d = (noether_process_general(case, ens, ROTATION_E3).values
-                 - noether_rotation_closed_form(case, ens).values)[:, -1]
+            d = (noether_process_general(ens, ROTATION_E3).values
+                 - noether_rotation_closed_form(ens).values)[:, -1]
             stats[m] = (d.mean(), d.std(ddof=1) / np.sqrt(len(d)))
         gap_c, se_c = stats[M_SMALL]
         gap_f, se_f = stats[2 * M_SMALL]
         assert abs(gap_c - 2.0 * gap_f) <= 3.0 * np.hypot(se_c, 2.0 * se_f)
 
     def test_lamb_oseen_rotation_martingale_and_ablation(self, lo_ensemble):
-        case = get_case("lamb_oseen")
-        full = martingale_test(noether_rotation_closed_form(case, lo_ensemble),
-                               lo_ensemble)
+        full = martingale_test(noether_rotation_closed_form(lo_ensemble))
         assert full.passed
         ablated = martingale_test(
-            noether_rotation_closed_form(case, lo_ensemble,
-                                         include_compensator=False),
-            lo_ensemble)
+            noether_rotation_closed_form(lo_ensemble, include_compensator=False))
         assert not ablated.passed
         assert ablated.max_abs_z >= 5.0
 
