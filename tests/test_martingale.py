@@ -69,16 +69,26 @@ def test_vector_sample_rejected(tg_ensemble):
         martingale_test(v)
 
 
-def test_sample_off_its_ensemble_refused():
-    # values must lie on the ensemble's N paths and M+1 times: fewer paths,
-    # more paths or another grid is refused; with one ensemble path,
-    # broadcasting would spread its coordinates over all 500 sample paths and
-    # the test would pass
+def test_samples_of_different_n_refused():
+    # values must lie on the ensemble's N paths: fewer or more are refused;
+    # with one ensemble path, broadcasting would spread its coordinates over
+    # all 500 sample paths and the test would pass
     values = simulate_wiener(500, M_SMALL, 3).positions[:, :, 0]
-    for n, m in ((1000, M_SMALL), (300, M_SMALL), (1, M_SMALL), (500, M_SMALL // 2)):
-        ens = simulate_wiener(n, m, 4)
+    for n in (1000, 300, 1):
+        ens = simulate_wiener(n, M_SMALL, 4)
         with pytest.raises(ValueError, match=r"values of shape \(500, 101\) are not "
-                           f"on the ensemble's {n} paths and {m + 1} times"):
+                           f"on the ensemble's {n} paths and {M_SMALL + 1} times"):
+            ProcessSample(ens, values, "brownian")
+
+
+def test_grid_mismatch(wiener_ensemble):
+    # values must lie on the ensemble's M+1 times: a coarser or finer grid is
+    # refused
+    coarser = simulate_wiener(N_SMALL, M_SMALL // 2, 0)
+    for values, ens in ((wiener_ensemble.positions[:, :, 0], coarser),
+                        (coarser.positions[:, :, 0], wiener_ensemble)):
+        with pytest.raises(ValueError, match=f"are not on the ensemble's {N_SMALL} "
+                           f"paths and {ens.grid.steps + 1} times"):
             ProcessSample(ens, values, "brownian")
 
 
