@@ -42,16 +42,11 @@ class PerturbationField:
     time-major positions x, (M+1, P, 3).  base and dbase have shape (M+1,);
     weight is (1, 3) for a deterministic direction, or a per-path (P, 3)
     value read from x at the activation time, which keeps a random h adapted.
-    ``energy_bound`` bounds sum |hdot|^2 dt.
     """
 
     label: str
     profile: Callable[[Array, Array], tuple]
-    energy_bound: float
 
-
-# Energy bounds are pointwise sup bounds times 1.5, which covers the
-# left-point discretized energy for every grid with M >= 2.
 
 def sine_perturbation(direction: Array, label: str = "") -> PerturbationField:
     c = np.asarray(direction, dtype=float)
@@ -61,8 +56,7 @@ def sine_perturbation(direction: Array, label: str = "") -> PerturbationField:
         base[0] = base[-1] = 0.0
         return base, np.pi * np.cos(np.pi * times), c[None, :]
 
-    return PerturbationField(label or f"sine{tuple(c)}", profile,
-                             1.5 * np.pi**2 * float(c @ c))
+    return PerturbationField(label or f"sine{tuple(c)}", profile)
 
 
 def bump_perturbation(direction: Array, label: str = "") -> PerturbationField:
@@ -71,7 +65,7 @@ def bump_perturbation(direction: Array, label: str = "") -> PerturbationField:
     def profile(times, x):
         return times * (1.0 - times), 1.0 - 2.0 * times, c[None, :]
 
-    return PerturbationField(label or f"bump{tuple(c)}", profile, 1.5 * float(c @ c))
+    return PerturbationField(label or f"bump{tuple(c)}", profile)
 
 
 def gated_tanh_perturbation(activation: float, label: str = "") -> PerturbationField:
@@ -90,8 +84,7 @@ def gated_tanh_perturbation(activation: float, label: str = "") -> PerturbationF
         dbase = np.where(on, np.pi / (1.0 - a) * np.cos(phase), 0.0)
         return base, dbase, np.tanh(x[k_a])
 
-    return PerturbationField(label or f"gated_tanh(a={activation})", profile,
-                             4.5 * (np.pi / (1.0 - activation)) ** 2)
+    return PerturbationField(label or f"gated_tanh(a={activation})", profile)
 
 
 def deterministic_dictionary() -> list:

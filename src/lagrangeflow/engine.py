@@ -10,8 +10,8 @@ with the same arguments is bit-exact and independent of how many workers run
 the blocks.  Workers draw a block's increments in fixed pieces, in order,
 and walk each piece on its own; ``walk_pieces`` hands every walked piece, with
 the drift it used, to a visitor, so an estimator can read the paths without
-an ensemble.  Ensembles store their positions, time-major, and the flow they
-were drawn under, and redraw the increments whenever they are asked for; a
+an ensemble.  Ensembles store their positions, time-major, the flow they were
+drawn under and the seed that keys their draws, never the increments; a
 process sample stores the ensemble whose paths it was built on.
 
 Novikov's condition holds automatically for the bounded catalog fields, so
@@ -67,15 +67,13 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """N discretized paths; the driving Gaussian increments are redrawn on demand.
+    """N discretized paths, without the Gaussian increments that drove them.
 
     positions has shape (N, M+1, 3) with positions[:, 0] = 0.  It is the
-    transposed view of a time-major (M+1, N, 3) buffer, so the time slice
-    positions[:, k] that every estimator reads is contiguous.  noise has shape
-    (N, M, 3) and holds the raw increments; it is not stored but regenerated
-    from the Philox stream at each access, bit for bit the increments the
-    simulation used.  Both arrays are read-only.  case is the flow whose law
-    drew the paths, None for Wiener measure.
+    transposed view of a read-only time-major (M+1, N, 3) buffer, so the time
+    slice positions[:, k] that every estimator reads is contiguous.  case is
+    the flow whose law drew the paths, None for Wiener measure, and seed the
+    Philox key of the draws.
     """
 
     grid: TimeGrid
@@ -93,15 +91,6 @@ class PathEnsemble:
         if self.case is None:
             raise ValueError("a Wiener ensemble has no flow to build a process on")
         return self.case
-
-    @property
-    def noise(self) -> Array:
-        out = _alloc((self.n_paths, self.grid.steps, 3))
-        for lo, hi, piece in _increments(self.seed, self.grid.steps,
-                                         _blocks(self.n_paths)):
-            out[lo:hi] = piece
-        out.flags.writeable = False
-        return out
 
 
 @dataclass(frozen=True)
@@ -185,19 +174,6 @@ def _draw(gen: np.random.Generator, piece: Array) -> Array:
     gen.standard_normal(out=piece)
     piece *= np.sqrt(1.0 / piece.shape[1])
     return piece
-
-
-def _increments(seed: int, steps: int, blocks):
-    """Yield (first path, end path, scaled increments) of the (index, first,
-    end) path blocks, PIECE_PATHS paths at a time.  One Philox generator per
-    block draws its pieces in order, which gives the numbers of one draw of the
-    whole block.  Each piece is overwritten by the next one."""
-    for index, lo, hi in blocks:
-        gen = _philox(seed, index)
-        scratch = np.empty((min(hi - lo, PIECE_PATHS), steps, 3))
-        for start in range(lo, hi, PIECE_PATHS):
-            piece = _draw(gen, scratch[:min(hi - start, PIECE_PATHS)])
-            yield start, start + len(piece), piece
 
 
 def _check_scale(n_paths: int, steps: int, seed: int) -> None:

@@ -6,33 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from lagrangeflow import (FlowCase, PressureField,
                           VelocityField, action_derivative_analytic,
                           action_derivative_fd, action_derivatives_fd,
-                          case_names, default_dictionary, drift_process,
+                          case_names, default_dictionary,
                           gated_tanh_perturbation, get_case,
-                          least_action_check, mean_with_error, simulate_pu,
+                          least_action_check, simulate_pu,
                           sine_perturbation, stochastic_action)
 
 from lagrangeflow import catalog, suite
-from lagrangeflow.action import (DICTIONARIES, FD_EPS, FOLD_PATHS,
-                                 _analytic_kernel, _tables,
-                                 criticality_report, criticality_tables)
+from lagrangeflow.action import (FOLD_PATHS, _analytic_kernel, _tables,
+                                 criticality_report)
 from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS
 
-from conftest import M_SMALL, N_SMALL, SEED, counting_case, threads as _threads
+from conftest import M_SMALL, N_SMALL, SEED, counting_case, threads
 
 E1, E2, E3 = np.eye(3)
 SMALL = (N_SMALL, M_SMALL, SEED)    # the estimators walk the fixtures' paths
-
-
-def _realize(h, ensemble):
-    # (h, hdot) of a perturbation on a stored ensemble's grid, broadcastable
-    # to (N, M+1, 3); a deterministic probe keeps a singleton path axis
-    base, dbase, weight = h.profile(ensemble.grid.times,
-                                    ensemble.positions.transpose(1, 0, 2))
-    weight = weight[:, None, :]
-    return base[None, :, None] * weight, dbase[None, :, None] * weight
 
 
 def test_default_dictionary_size_and_labels():
@@ -45,16 +36,14 @@ def test_default_dictionary_size_and_labels():
 @pytest.mark.parametrize("entry", default_dictionary(),
                          ids=lambda e: e.label)
 def test_perturbations_vanish_at_endpoints(entry, tg_ensemble):
-    h, hdot = _realize(entry, tg_ensemble)
+    h, _ = reference.probe(entry, tg_ensemble.positions)
     assert np.all(h[:, 0, :] == 0.0)
     assert np.all(h[:, -1, :] == 0.0)
-    energy = (hdot**2).sum(axis=-1).sum(axis=1).max() * tg_ensemble.grid.dt
-    assert energy <= entry.energy_bound + 1e-9
 
 
 def test_gated_perturbation_is_causal(tg_ensemble):
     entry = gated_tanh_perturbation(0.5)
-    h, _ = _realize(entry, tg_ensemble)
+    h, _ = reference.probe(entry, tg_ensemble.positions)
     m = tg_ensemble.grid.steps
     assert np.all(h[:, : m // 2, :] == 0.0)
     # the gate reads the path at the activation index only
@@ -97,100 +86,6 @@ def test_fd_matches_analytic_everywhere(name):
         f = action_derivative_fd(case, 1500, 60, SEED + 2, entry)
         tol = 3.0 * np.hypot(a.std_error, f.std_error) + 1e-4
         assert abs(a.value - f.value) <= tol, entry.label
-
-
-def _per_probe_fd(case, ensemble, h):
-    # the per-probe oracle's per-path values on a whole stored ensemble: full
-    # drift array, then one shifted action per sign
-    eps = FD_EPS
-    x = ensemble.positions
-    grid = ensemble.grid
-    times = grid.times
-    v = drift_process(ensemble).values
-    hv, hdv = _realize(h, ensemble)
-    m = grid.steps
-
-    def shifted_action(sign):
-        vs = v[:, :m] + sign * eps * hdv[:, :m]
-        acc = np.zeros(x.shape[0])
-        for k in range(m):
-            t_rev = 1.0 - times[k]
-            xs = x[:, k] + sign * eps * hv[:, k]
-            acc += (0.5 * (vs[:, k] ** 2).sum(axis=-1)
-                    - case.pressure.eval(t_rev, xs))
-        return acc * grid.dt
-
-    return (shifted_action(+1.0) - shifted_action(-1.0)) / (2.0 * eps)
-
-
-def _analytic_reference(case, ensemble, dictionary):
-    # the analytic (J, N) table on a whole stored ensemble: per path,
-    # sum_k (<v_k, hdot_k> - <grad p(1 - t_k, X_k), h_k>) dt over k < M
-    grid, x = ensemble.grid, ensemble.positions
-    m = grid.steps
-    v = drift_process(ensemble).values[:, :m]
-    gp = np.stack([case.pressure.gradient(1.0 - t, x[:, k])
-                   for k, t in enumerate(grid.times[:m])], axis=1)
-    rows = []
-    for h in dictionary:
-        hv, hdv = _realize(h, ensemble)
-        integrand = (v * hdv[:, :m]).sum(axis=-1) - (gp * hv[:, :m]).sum(axis=-1)
-        rows.append(integrand.sum(axis=1) * grid.dt)
-    return np.array(rows)
-
-
-def _whole_piece_kernel(case, grid):
-    # the analytic kernel that contracts a whole piece at once, with (P, M)
-    # kinetic and potential sums per probe: the reference the folded kernel
-    # must match bit for bit
-    grad_p, times, m, dt = case.pressure.gradient, grid.times, grid.steps, grid.dt
-
-    def kernel(x, v, profiles, out):
-        gp = np.empty_like(v)
-        for k in range(m):
-            gp[:, k] = grad_p(1.0 - times[k], x[k])
-        finite = np.isfinite(v).all() and np.isfinite(gp).all()
-        for (base, dbase, weight), row in zip(profiles, out):
-            kinetic, potential = np.zeros((2, len(v), m))
-            for j in range(3):
-                if finite and not weight[:, j].any():
-                    continue
-                kinetic += v[..., j] * (dbase[:m] * weight[:, j, None])
-                potential += gp[..., j] * (base[:m] * weight[:, j, None])
-            np.multiply((kinetic - potential).sum(axis=1), dt, out=row)
-
-    return kernel
-
-
-# both sides of a fold's edge, and pieces ending one path past a fold
-_FOLD_EDGES = [1, 2, FOLD_PATHS - 1, FOLD_PATHS, FOLD_PATHS + 1, PIECE_PATHS - 1,
-               PIECE_PATHS + 1, 2 * PIECE_PATHS + 1]
-
-
-@pytest.mark.parametrize("n", _FOLD_EDGES)
-@pytest.mark.parametrize("name", case_names())
-def test_folded_kernel_equals_the_whole_piece_kernel(name, n):
-    case = get_case(name)
-    for make in DICTIONARIES.values():
-        dictionary = make()
-        for threads in ("1", "2", "8"):
-            with _threads(threads):
-                got = _tables(case, n, 6, SEED, dictionary, [_analytic_kernel])
-                want = _tables(case, n, 6, SEED, dictionary, [_whole_piece_kernel])
-            assert got.tobytes() == want.tobytes(), (len(dictionary), threads)
-
-
-@pytest.mark.parametrize("name, fixture", [("taylor_green", "tg_ensemble"),
-                                           ("lamb_oseen", "lo_ensemble")])
-def test_fd_over_dictionary_equals_per_probe_loop(name, fixture, request):
-    case = get_case(name)
-    ens = request.getfixturevalue(fixture)
-    dictionary = default_dictionary()
-    together = action_derivatives_fd(case, *SMALL, dictionary)
-    assert len(together) == len(dictionary) == 9
-    for h, est in zip(dictionary, together):
-        assert est == mean_with_error(_per_probe_fd(case, ens, h)), h.label
-        assert action_derivative_fd(case, *SMALL, h) == est, h.label
 
 
 def test_fd_evaluates_drift_once_and_pressure_per_shift():
@@ -242,7 +137,7 @@ def test_least_action_scratch_is_a_few_path_arrays():
     # elements each, two at once for a per-path factor)
     case = get_case("taylor_green")
     n, m, p = N_SMALL, M_SMALL, PIECE_PATHS
-    with _threads("1"):
+    with threads("1"):
         least_action_check(case, *SMALL)
         tracemalloc.start()
         try:
@@ -286,8 +181,7 @@ def test_analytic_table_adds_every_component_of_a_non_finite_drift(tg_ensemble):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_drift_in_one_fold_leaves_the_other_folds_clean():
     # an infinite v_3 at step 2 of two paths in the third fold of a piece:
-    # those paths turn nan in the e1 and e2 probes as the whole-piece kernel
-    # has them, and every other path, in that fold or the clean ones, keeps
+    # those paths turn nan in the e1 and e2 probes as the reference has them, and every other path, in that fold or the clean ones, keeps
     # its value
     case = get_case("taylor_green")
     n, m = PIECE_PATHS, 6
@@ -304,10 +198,10 @@ def test_non_finite_drift_in_one_fold_leaves_the_other_folds_clean():
     bad = dataclasses.replace(case, velocity=dataclasses.replace(case.velocity, eval=u))
     dictionary = default_dictionary()
     planar = [i for i, h in enumerate(dictionary) if h.label[-2:] in ("e1", "e2")]
-    with _threads("1"):
+    with threads("1"):
         table = _tables(bad, n, m, SEED, dictionary, [_analytic_kernel])[0]
-        want = _tables(bad, n, m, SEED, dictionary, [_whole_piece_kernel])[0]
         clean = _tables(case, n, m, SEED, dictionary, [_analytic_kernel])[0]
+    want = reference.analytic_table(bad, reference.positions(bad, n, m, SEED), dictionary)
     assert table.tobytes() == want.tobytes()
     assert len(planar) == 4 and np.isnan(table[np.ix_(planar, hit)]).all()
     assert np.array_equal(table[:, ~hit], clean[:, ~hit])
@@ -321,7 +215,7 @@ def test_criterion_3_scratch_does_not_grow_with_n(estimator):
     dictionary = default_dictionary()
     peaks = []
     for n in (4 * CHUNK_FLOOR, 16 * CHUNK_FLOOR):
-        with _threads("1"):
+        with threads("1"):
             tracemalloc.start()
             try:
                 estimator(case, n, 50, SEED, dictionary)
@@ -331,17 +225,10 @@ def test_criterion_3_scratch_does_not_grow_with_n(estimator):
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
-# edges of the pieces, of the worker floor and of the simulation's blocks;
-# e + 1 leaves a last piece of one path
-_EDGES = [e + d for e in (PIECE_PATHS, CHUNK_FLOOR, CHUNK_FLOOR + PIECE_PATHS,
-                          2 * CHUNK_FLOOR, 3 * CHUNK_FLOOR, BLOCK_PATHS)
-          for d in (-1, 0, 1)]
-
-
 @settings(max_examples=20, deadline=None, database=None)
 @given(name=st.sampled_from(["taylor_green", "lamb_oseen",
                              "frozen_taylor_green"]),
-       n=st.one_of(st.sampled_from(_EDGES),
+       n=st.one_of(st.sampled_from(reference.EDGES[1:]),
                    st.integers(2, PIECE_PATHS - 1),
                    st.integers(CHUNK_FLOOR - 1, BLOCK_PATHS + 1)),
        m=st.integers(2, 12), seed=st.integers(0, 2**63 - 1))
@@ -349,44 +236,12 @@ def test_criterion_3_outputs_invariant_to_worker_count(name, n, m, seed):
     case = get_case(name)
     dictionary = default_dictionary()
     outputs = []
-    for threads in ("1", "2", "3", "8"):
-        with _threads(threads):
+    for count in ("1", "2", "3", "8"):
+        with threads(count):
             outputs.append((least_action_check(case, n, m, seed, dictionary),
                             action_derivatives_fd(case, n, m, seed, dictionary)))
     for other in outputs[1:]:
         assert other == outputs[0]
-
-
-@pytest.mark.parametrize("n", [1, PIECE_PATHS - 1, PIECE_PATHS + 1, BLOCK_PATHS - 1,
-                               BLOCK_PATHS + 1, 2 * BLOCK_PATHS + 5])
-@settings(max_examples=5, deadline=None, database=None)
-@given(name=st.sampled_from(["taylor_green", "lamb_oseen",
-                             "frozen_taylor_green"]),
-       m=st.integers(2, 12), seed=st.integers(0, 2**64 - 1))
-def test_streamed_tables_equal_the_ensemble_estimators(n, name, m, seed):
-    # criterion 3's tables, from simulation pieces and the drift the walk
-    # used, equal per path both whole-ensemble references on the simulated
-    # ensemble, are bit-identical at every worker count, and are the tables
-    # behind both estimators
-    case = get_case(name)
-    dictionary = default_dictionary()
-    with _threads("1"):
-        ens = simulate_pu(case, n, m, seed)
-        want = (_analytic_reference(case, ens, dictionary),
-                np.array([_per_probe_fd(case, ens, h) for h in dictionary]))
-        first = criticality_tables(case, n, m, seed, dictionary)
-        if n >= 2:
-            check = least_action_check(case, n, m, seed, dictionary)
-            fd = action_derivatives_fd(case, n, m, seed, dictionary)
-    for table, reference in zip(first, want):
-        assert np.abs(table - reference).max() <= 1e-12
-    for count in ("2", "3", "8"):
-        with _threads(count):
-            got = criticality_tables(case, n, m, seed, dictionary)
-        assert [t.tobytes() for t in got] == [t.tobytes() for t in first], count
-    if n >= 2:
-        assert criticality_report(dictionary, first[0]) == check
-        assert [mean_with_error(row) for row in first[1]] == fd
 
 
 def test_criterion_3_evaluates_u_once_per_path_point(monkeypatch):

@@ -7,8 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+import reference
 from lagrangeflow import (CapacityError, TimeGrid, drift_process, get_case,
                           simulate_pu, simulate_wiener, worker_count)
 from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS, walk_pieces
@@ -32,29 +32,21 @@ def test_paths_start_at_origin(tg_ensemble, wiener_ensemble):
 def test_wiener_increments_are_the_noise(wiener_ensemble):
     # the recursion identity, evaluated in the same operation order the
     # engine used, holds bit for bit
-    x, noise = wiener_ensemble.positions, wiener_ensemble.noise
+    x, noise = wiener_ensemble.positions, reference.increments(N_SMALL, M_SMALL, SEED + 1)
     assert np.array_equal(x[:, 1:, :], np.cumsum(noise, axis=1) + x[:, :1, :])
     for k in range(wiener_ensemble.grid.steps):
         assert np.array_equal(x[:, k + 1], x[:, k] + noise[:, k])
 
 
 def test_pu_recursion_reconstructs_positions(tg_ensemble):
-    # positions are exactly the Euler-Maruyama recursion of the stored noise
-    case = get_case("taylor_green")
-    x = tg_ensemble.positions
-    grid = tg_ensemble.grid
-    rebuilt = np.zeros_like(x[:, 0, :])
-    for k in range(grid.steps):
-        step = (-case.velocity.eval(1.0 - grid.times[k], rebuilt) * grid.dt
-                + tg_ensemble.noise[:, k])
-        rebuilt = rebuilt + step
-        assert np.array_equal(x[:, k + 1, :], rebuilt)
+    # positions are exactly the Euler-Maruyama recursion of the increments
+    want = reference.positions(get_case("taylor_green"), N_SMALL, M_SMALL, SEED)
+    assert tg_ensemble.positions.tobytes() == want.tobytes()
 
 
 def test_determinism_same_seed(tg_ensemble):
     again = simulate_pu(get_case("taylor_green"), N_SMALL, M_SMALL, SEED)
     assert np.array_equal(tg_ensemble.positions, again.positions)
-    assert np.array_equal(tg_ensemble.noise, again.noise)
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
@@ -68,45 +60,6 @@ def test_worker_count_does_not_change_results(monkeypatch):
         assert worker_count() == int(threads)
         outputs.append(simulate_pu(case, 3 * 8192 + 17, 10, 99))
     assert np.array_equal(outputs[0].positions, outputs[1].positions)
-    assert np.array_equal(outputs[0].noise, outputs[1].noise)
-
-
-def _whole_block_reference(case, n_paths, steps, seed):
-    """Positions and noise with one increments array drawn per 8192-path
-    block and each block walked whole."""
-    dt, times = 1.0 / steps, np.arange(steps + 1) / steps
-    x = np.zeros((steps + 1, n_paths, 3))
-    noise = np.empty((n_paths, steps, 3))
-    for index, lo in enumerate(range(0, n_paths, BLOCK_PATHS)):
-        hi = min(lo + BLOCK_PATHS, n_paths)
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], np.uint64)))
-        block = np.empty((hi - lo, steps, 3))
-        gen.standard_normal(out=block)
-        block *= np.sqrt(1.0 / steps)
-        noise[lo:hi] = block
-        for k in range(steps):
-            step = block[:, k]
-            if case is not None:
-                step = -case.velocity.eval(1.0 - times[k], x[k, lo:hi]) * dt + step
-            x[k + 1, lo:hi] = x[k, lo:hi] + step
-    return x.transpose(1, 0, 2), noise
-
-
-@pytest.mark.parametrize("n", [1, CHUNK_FLOOR - 1, CHUNK_FLOOR + 1, BLOCK_PATHS - 1,
-                               BLOCK_PATHS + 1, 2 * BLOCK_PATHS + 5])
-@settings(max_examples=4, deadline=None, database=None)
-@given(name=st.sampled_from(["taylor_green", "lamb_oseen", None]),
-       steps=st.integers(2, 5), seed=st.integers(0, 2**64 - 1),
-       count=st.sampled_from(["1", "2"]))
-def test_pieces_equal_whole_block_draws(n, name, steps, seed, count):
-    case = None if name is None else get_case(name)
-    with threads(count):
-        ens = (simulate_wiener(n, steps, seed) if case is None
-               else simulate_pu(case, n, steps, seed))
-        noise = ens.noise
-    positions, want_noise = _whole_block_reference(case, n, steps, seed)
-    assert np.array_equal(ens.positions, positions)
-    assert np.array_equal(noise, want_noise)
 
 
 def test_pieces_are_walked_once_under_thread_switching():
@@ -164,14 +117,13 @@ def test_worker_count_capped_at_usable_cores(monkeypatch):
 def test_ensembles_are_immutable(tg_ensemble):
     with pytest.raises(ValueError):
         tg_ensemble.positions[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        tg_ensemble.noise[0, 0, 0] = 1.0
 
 
 def test_zero_flow_paths_are_brownian(zero_ensemble):
+    # -0 dt + dW is dW exactly, so each path is the running sum of its increments
     x = zero_ensemble.positions
-    assert np.array_equal(x[:, -1, :], zero_ensemble.noise.sum(axis=1) + 0.0) or \
-        np.allclose(x[:, -1, :], zero_ensemble.noise.sum(axis=1), atol=1e-12)
+    want = np.cumsum(reference.increments(N_SMALL, M_SMALL, SEED), axis=1)
+    assert x[:, 1:].tobytes() == want.tobytes()
     cov_diag = x[:, -1, :].var(axis=0, ddof=1)
     assert np.all(np.abs(cov_diag - 1.0) <= 3.0 * np.sqrt(2.0 / x.shape[0]))
 
@@ -247,16 +199,19 @@ def test_seeds_in_the_top_half_keep_their_own_streams():
     for seed in (0, 7, 2**62, 2**63 - 1):
         gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
         want = gen.standard_normal((10, 3, 3)) * np.sqrt(1.0 / 3)
-        assert np.array_equal(simulate_wiener(10, 3, seed).noise, want)
+        assert np.array_equal(reference.increments(10, 3, seed), want)
+        assert np.array_equal(simulate_wiener(10, 3, seed).positions[:, 1:],
+                              np.cumsum(want, axis=1))
 
 
 def test_dump_bytes_are_pinned():
     # three pieces of one path block, the last of three paths; Wiener paths
     # carry no transcendental drift, so the bytes do not depend on libm.
-    # Positions, then noise, both path-major little-endian float64.
+    # Positions, then the reference's increments, both path-major
+    # little-endian float64: the reference draws the engine's numbers.
     ens = simulate_wiener(2 * CHUNK_FLOOR + 3, 4, 7)
     data = (np.ascontiguousarray(ens.positions, "<f8").tobytes()
-            + ens.noise.astype("<f8").tobytes())
+            + reference.increments(2 * CHUNK_FLOOR + 3, 4, 7).astype("<f8").tobytes())
     assert hashlib.sha256(data).hexdigest() == (
         "fdd37aaf05accb6437d9f6d3f2647dfd73f69e2f3a8868da9a01c5e173c275ea")
 
@@ -266,14 +221,6 @@ def test_time_slices_are_contiguous(tg_ensemble, wiener_ensemble):
         assert ens.positions.shape == (N_SMALL, M_SMALL + 1, 3)
         for k in (0, M_SMALL // 2, M_SMALL):
             assert ens.positions[:, k].flags.c_contiguous
-
-
-def test_noise_is_regenerated_read_only(tg_ensemble):
-    first, second = tg_ensemble.noise, tg_ensemble.noise
-    assert first is not second
-    assert np.array_equal(first, second)
-    assert not first.flags.writeable
-    assert first.shape == (N_SMALL, M_SMALL, 3)
 
 
 def test_weak_error_refinement_ratio():
@@ -288,7 +235,7 @@ def test_weak_error_refinement_ratio():
     def coarse_run(factor):
         m = m_fine // factor
         dt = 1.0 / m
-        agg = fine.noise.reshape(n, m, factor, 3).sum(axis=2)
+        agg = reference.increments(n, m_fine, 51).reshape(n, m, factor, 3).sum(axis=2)
         x = np.zeros((n, 3))
         for k in range(m):
             x = x - case.velocity.eval(1.0 - k * dt, x) * dt + agg[:, k]

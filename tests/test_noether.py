@@ -37,66 +37,6 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def _whole_array_drift(case, ens):
-    # the construction over whole (N, M+1, 3) arrays
-    return np.stack([-case.velocity.eval(1.0 - t, ens.positions[:, k])
-                     for k, t in enumerate(ens.grid.times)], axis=1)
-
-
-def _whole_array_el(case, ens):
-    # the construction over whole (N, M+1, 3) and (N, M, 3) arrays
-    v = _whole_array_drift(case, ens)
-    gp = np.stack([case.pressure.gradient(1.0 - t, ens.positions[:, k])
-                   for k, t in enumerate(ens.grid.times[:-1])], axis=1)
-    gp *= ens.grid.dt
-    np.cumsum(gp, axis=1, out=gp)
-    v[:, 1:] += gp
-    return v
-
-
-def _whole_array_general(case, ens, gen):
-    # <xi, v> minus the cumulated increment products of the stacked xi and v
-    x, v = ens.positions, _whole_array_drift(case, ens)
-    xi = np.stack([gen.xi(t, x[:, k]) for k, t in enumerate(ens.grid.times)],
-                  axis=1)
-    bracket = ((xi[:, 1:] - xi[:, :-1]) * (v[:, 1:] - v[:, :-1])).sum(axis=-1)
-    np.cumsum(bracket, axis=1, out=bracket)
-    values = (xi * v).sum(axis=-1)
-    values[:, 1:] -= bracket
-    return values
-
-
-def _whole_array_rotation(case, ens, include_compensator):
-    x, v = ens.positions, _whole_array_drift(case, ens)
-    values = x[:, :, 0] * v[:, :, 1] - x[:, :, 1] * v[:, :, 0]
-    if include_compensator:
-        comp = np.stack([case.velocity.curl(1.0 - t, x[:, k])[..., 2]
-                         for k, t in enumerate(ens.grid.times[:-1])], axis=1)
-        comp *= ens.grid.dt
-        np.cumsum(comp, axis=1, out=comp)
-        values[:, 1:] += comp
-    return values
-
-
-@pytest.mark.parametrize("name", ["taylor_green", "lamb_oseen", "zero_flow",
-                                  "frozen_taylor_green", "taylor_green_rotated"])
-@pytest.mark.parametrize("n", [1, 7, 300])
-def test_slice_builders_equal_whole_array_construction(name, n):
-    # bit for bit, signs of zero included
-    case = get_case(name)
-    ens = simulate_pu(case, n, 20, SEED)
-    assert (drift_process(ens).values.tobytes()
-            == _whole_array_drift(case, ens).tobytes())
-    assert (el_process(ens).values.tobytes()
-            == _whole_array_el(case, ens).tobytes())
-    for gen in (ROTATION_E3, TRANSLATION_E3):
-        got = noether_process_general(ens, gen).values
-        assert got.tobytes() == _whole_array_general(case, ens, gen).tobytes()
-    for compensated in (True, False):
-        got = noether_rotation_closed_form(ens, compensated).values
-        assert got.tobytes() == _whole_array_rotation(case, ens, compensated).tobytes()
-
-
 def _counted(fn, kind, slices):
     def wrapped(t, x):
         slices[kind] = slices.get(kind, 0) + 1
