@@ -16,8 +16,8 @@ from lagrangeflow import (FlowCase, PressureField,
                           sine_perturbation, stochastic_action)
 
 from lagrangeflow import catalog, suite
-from lagrangeflow.action import (FOLD_PATHS, _analytic_kernel, _tables,
-                                 criticality_report)
+from lagrangeflow.action import (DICTIONARIES, FOLD_PATHS, _analytic_kernel,
+                                 _tables, criticality_report)
 from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS
 
 from conftest import M_SMALL, N_SMALL, SEED, counting_case, threads
@@ -153,6 +153,24 @@ def test_least_action_scratch_is_a_few_path_arrays():
     assert peak < table_bytes + x_bytes + v_bytes + gp_bytes + slices + planes + buffers
 
 
+@pytest.mark.parametrize("n", [1, 2, FOLD_PATHS - 1, FOLD_PATHS, FOLD_PATHS + 1,
+                               PIECE_PATHS - 1, PIECE_PATHS + 1, 2 * PIECE_PATHS + 1])
+@pytest.mark.parametrize("name", case_names())
+def test_folded_kernel_equals_the_whole_piece_kernel(name, n):
+    # on both sides of a fold's edge, and pieces ending one path past a fold,
+    # the folded kernel's table is the whole-array contraction's bytes at
+    # every worker count
+    case = get_case(name)
+    x = reference.positions(case, n, 6, SEED)
+    for make in DICTIONARIES.values():
+        dictionary = make()
+        want = reference.analytic_table(case, x, dictionary).tobytes()
+        for count in ("1", "2", "8"):
+            with threads(count):
+                got = _tables(case, n, 6, SEED, dictionary, [_analytic_kernel])[0]
+            assert got.tobytes() == want, (len(dictionary), count)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_analytic_table_adds_every_component_of_a_non_finite_drift(tg_ensemble):
     # a zero weight column is skipped only while v and grad p are finite: an
@@ -181,8 +199,8 @@ def test_analytic_table_adds_every_component_of_a_non_finite_drift(tg_ensemble):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_drift_in_one_fold_leaves_the_other_folds_clean():
     # an infinite v_3 at step 2 of two paths in the third fold of a piece:
-    # those paths turn nan in the e1 and e2 probes as the reference has them, and every other path, in that fold or the clean ones, keeps
-    # its value
+    # those paths turn nan in the e1 and e2 probes as the reference has them,
+    # and every other path, in that fold or the clean ones, keeps its value
     case = get_case("taylor_green")
     n, m = PIECE_PATHS, 6
     hit = np.zeros(n, dtype=bool)

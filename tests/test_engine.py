@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import reference
+from hypothesis import given, settings, strategies as st
+
 from lagrangeflow import (CapacityError, TimeGrid, drift_process, get_case,
                           simulate_pu, simulate_wiener, worker_count)
 from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS, walk_pieces
@@ -60,6 +62,22 @@ def test_worker_count_does_not_change_results(monkeypatch):
         assert worker_count() == int(threads)
         outputs.append(simulate_pu(case, 3 * 8192 + 17, 10, 99))
     assert np.array_equal(outputs[0].positions, outputs[1].positions)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK_FLOOR - 1, CHUNK_FLOOR + 1, BLOCK_PATHS - 1,
+                               BLOCK_PATHS + 1, 2 * BLOCK_PATHS + 5])
+@settings(max_examples=4, deadline=None, database=None)
+@given(name=st.sampled_from(["taylor_green", "lamb_oseen", None]),
+       steps=st.integers(2, 5), seed=st.integers(0, 2**64 - 1),
+       count=st.sampled_from(["1", "2"]))
+def test_pieces_equal_whole_block_draws(n, name, steps, seed, count):
+    # walked in pieces, the paths are those of one draw per 8192-path block
+    # walked whole
+    case = None if name is None else get_case(name)
+    with threads(count):
+        ens = (simulate_wiener(n, steps, seed) if case is None
+               else simulate_pu(case, n, steps, seed))
+    assert ens.positions.tobytes() == reference.positions(case, n, steps, seed).tobytes()
 
 
 def test_pieces_are_walked_once_under_thread_switching():

@@ -6,7 +6,7 @@ from lagrangeflow import (action_entropy_identity, case_names, estimate_Zp,
                           get_case, log_density_pu, mean_with_error,
                           relative_entropy, simulate_pu)
 from lagrangeflow.engine import PIECE_PATHS
-from lagrangeflow.girsanov import drifted_path_functionals
+from lagrangeflow.girsanov import drifted_path_functionals, pressure_integral
 
 from conftest import M_SMALL, N_SMALL, SEED, counting_case
 
@@ -142,6 +142,18 @@ def test_identity_residual_is_the_ito_sum_of_each_path(name):
     ito = sum((case.velocity.eval(1.0 - times[k], x[:, k]) * noise[:, k]).sum(axis=-1)
               for k in range(m))
     assert np.abs(action - (log_density - pressure) - ito).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_one_walk_matches_the_separate_functionals(name):
+    # the drifted walk's three rows, and the two Wiener walks' rows, equal
+    # the left-point loop over the paths bit for bit
+    case, n, m = get_case(name), 500, 20
+    rows = reference.girsanov_rows(case, reference.positions(case, n, m, SEED))
+    wiener = reference.girsanov_rows(case, reference.positions(None, n, m, SEED))
+    assert np.asarray(drifted_path_functionals(case, n, m, SEED)).tobytes() == rows.tobytes()
+    assert log_density_pu(case, n, m, SEED).tobytes() == wiener[0].tobytes()
+    assert pressure_integral(case, n, m, SEED).tobytes() == wiener[1].tobytes()
 
 
 def test_identity_evaluates_each_field_once_per_step():

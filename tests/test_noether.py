@@ -13,6 +13,7 @@ from lagrangeflow import (GeneratorField, ROTATION_E3, TRANSLATION_E3,
 from lagrangeflow.engine import ProcessSample, adapted_process
 from lagrangeflow.noether import SYMMETRY_GATE_TOL, el_reports
 
+import reference
 from conftest import M_SMALL, N_SMALL, SEED
 
 
@@ -26,6 +27,24 @@ def test_generator_registry():
     assert get_generator("rotation_e3") is ROTATION_E3
     with pytest.raises(UnknownGeneratorError):
         get_generator("scaling")
+
+
+@pytest.mark.parametrize("name", ["taylor_green", "lamb_oseen", "zero_flow",
+                                  "frozen_taylor_green", "taylor_green_rotated"])
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_slice_builders_equal_whole_array_construction(name, n):
+    # bit for bit, signs of zero included
+    case = get_case(name)
+    ens = simulate_pu(case, n, 20, SEED)
+    x = ens.positions
+    assert drift_process(ens).values.tobytes() == reference.drift(case, x).tobytes()
+    assert el_process(ens).values.tobytes() == reference.el(case, x).tobytes()
+    for gen in (ROTATION_E3, TRANSLATION_E3):
+        got = noether_process_general(ens, gen).values
+        assert got.tobytes() == reference.noether_general(case, x, gen).tobytes()
+    for compensated in (True, False):
+        got = noether_rotation_closed_form(ens, compensated).values
+        assert got.tobytes() == reference.noether_rotation(case, x, compensated).tobytes()
 
 
 def _peak_bytes(fn, *args):
