@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import TimeGrid, walk_pieces
+from .engine import TimeGrid, alloc, walk_pieces
 from .fields import Array, FlowCase
 from .girsanov import EstimateWithError, drifted_path_functionals, mean_with_error
 from .martingale import bonferroni_quantile, z_scores
@@ -123,7 +123,7 @@ def _tables(case: FlowCase, n_paths: int, steps: int, seed: int,
     drift the walk used for k < M, (P, M, 3), and out its (J, P) slice."""
     grid = TimeGrid(steps)
     kernels = [kernel(case, grid) for kernel in kernels]
-    tables = np.empty((len(kernels), len(dictionary), n_paths))
+    tables = alloc((len(kernels), len(dictionary), n_paths), np.empty)
 
     def visit(lo, x, v):
         profiles = [h.profile(grid.times, x) for h in dictionary]

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .engine import check_capacity
 from .fields import Array, FlowCase, PressureField, VelocityField, rotated_case
 
 
@@ -86,6 +87,8 @@ def fd_residual_oracle(case: FlowCase, t: float, x: Array, step: float = 1e-3) -
 
 def probe_grid(n_time: int = 5, n_space: int = 5):
     """Standard verification grid: times in [0,1], points in [-pi, pi]^3."""
+    check_capacity(n_time)
+    check_capacity(n_space**3, 3)
     times = np.linspace(0.0, 1.0, n_time)
     axis = np.linspace(-np.pi, np.pi, n_space)
     xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")

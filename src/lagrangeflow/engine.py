@@ -21,6 +21,7 @@ runtime.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +44,7 @@ class CapacityError(MemoryError):
 
     def __init__(self, requested_bytes: int):
         self.requested_bytes = requested_bytes
-        super().__init__(f"cannot allocate {requested_bytes} bytes for ensemble storage")
+        super().__init__(f"cannot allocate an array of {requested_bytes} bytes")
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,7 @@ class TimeGrid:
 
     @property
     def times(self) -> Array:
+        check_capacity(self.steps + 1)
         return np.arange(self.steps + 1) / self.steps
 
 
@@ -138,11 +140,23 @@ def worker_count() -> int:
     return min(int(env) if env else 8, cores)
 
 
-def _alloc(shape) -> Array:
+def check_capacity(*shape: int) -> int:
+    """Bytes of a float64 array of this shape; CapacityError before numpy is
+    asked for one it cannot index (over 2**63 - 1 bytes: numpy's ValueError)."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes > np.iinfo(np.intp).max:
+        raise CapacityError(nbytes)
+    return nbytes
+
+
+def alloc(shape, make=np.zeros) -> Array:
+    """make(shape) under ``check_capacity``, a failed allocation also
+    reported as CapacityError."""
+    nbytes = check_capacity(*shape)
     try:
-        return np.zeros(shape)
+        return make(shape)
     except MemoryError:
-        raise CapacityError(int(np.prod(shape)) * 8) from None
+        raise CapacityError(nbytes) from None
 
 
 def _blocks(n_paths: int) -> list:
@@ -156,7 +170,7 @@ def _run_workers(worker, n_paths: int, *shapes) -> None:
     worker_count() (a second worker does not pay for less); inline for one.
     The scratch, zeroed arrays of the given shapes, comes from this thread:
     freed memory a worker thread allocated stays in its malloc arena."""
-    scratch = [[np.zeros(shape) for shape in shapes]
+    scratch = [[alloc(shape) for shape in shapes]
                for _ in range(min(worker_count(), -(-n_paths // CHUNK_FLOOR)))]
     if len(scratch) == 1:
         worker(*scratch[0])
@@ -231,7 +245,7 @@ def walk_pieces(case, n_paths: int, steps: int, seed: int, visit) -> None:
 
 def _simulate(case, n_paths: int, steps: int, seed: int) -> PathEnsemble:
     _check_scale(n_paths, steps, seed)
-    buffer = _alloc((steps + 1, n_paths, 3))
+    buffer = alloc((steps + 1, n_paths, 3))
 
     def copy(lo, x, v):
         buffer[:, lo:lo + x.shape[1]] = x

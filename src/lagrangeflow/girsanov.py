@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import WIENER_SEED_OFFSET, TimeGrid, walk_pieces
+from .engine import WIENER_SEED_OFFSET, TimeGrid, alloc, walk_pieces
 from .fields import Array, FlowCase
 
 
@@ -56,7 +56,7 @@ def _path_sums(walked, n_paths: int, steps: int, seed: int, rows: int, add) -> A
     paths of ``walk_pieces(walked, ...)``: add(1 - t_k, X_k, X_{k+1} - X_k, v_k,
     acc) adds step k to a piece's rows acc; v_k is the walk's drift, or None."""
     times = TimeGrid(steps).times
-    sums = np.zeros((rows, n_paths))
+    sums = alloc((rows, n_paths))
 
     def visit(lo, x, v):
         acc = sums[:, lo:lo + x.shape[1]]

@@ -1,9 +1,11 @@
 """The acceptance battery: nine property checks at desk scale.
 
-Each criterion function returns a dict with a boolean "passed" and enough
-detail to diagnose a failure.  The ``SHARED`` ensembles are simulated once
-per run and dropped after their last read; any other is simulated where it
-is read.  The battery is deterministic given the scale (N, M, seed, alpha).
+Each criterion takes the scale and an ``ensembles`` source, and returns a
+dict with a boolean "passed" and enough detail to diagnose a failure.
+``ensembles(name)`` simulates the named case at the suite's N, M and seed at
+every call, so each ensemble goes when the criterion that read it returns:
+no ensemble is kept between criteria, and at desk scale the battery peaks at
+813 MB.  The battery is deterministic given the scale (N, M, seed, alpha).
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import io
 import os
 import contextlib
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,6 @@ class SuiteScale:
         return {"N": self.n_paths, "M": self.steps, "seed": self.seed,
                 "alpha": self.alpha}
 
-
-# Cases whose ensemble at the suite's scale several criteria read: the readers
-SHARED = {"taylor_green": (2, 5), "lamb_oseen": (2, 6, 7)}
 
 # Criterion 8 tests NULL_RUNS Wiener ensembles of NULL_SCALE = (N, M), the i-th
 # at seed + NULL_SEED_OFFSET + i: the battery's largest seeds
@@ -75,23 +73,11 @@ def _check_scale(scale: SuiteScale, selected) -> None:
             raise ValueError(f"{key} must be >= {least[key]} for the selected criteria")
 
 
-class _EnsembleCache(dict):
-    """The shared ensembles of the criteria numbered in ``plan``, keyed by
-    case name and read as ``cache(name)``; each is forgotten after its last
-    planned read, and a read outside the plan is not kept."""
-
-    def __init__(self, scale: SuiteScale, plan=()):
-        super().__init__()
-        self.scale = scale
-        self.planned = Counter(name for name, readers in SHARED.items()
-                               for i in plan if i in readers)
-
-    def __call__(self, name):
-        if name not in self:
-            self[name] = simulate_pu(catalog.get_case(name), self.scale.n_paths,
-                                     self.scale.steps, self.scale.seed)
-        self.planned[name] -= 1
-        return self[name] if self.planned[name] > 0 else self.pop(name)
+def suite_ensembles(scale: SuiteScale):
+    """The criteria's source: name -> that case's ensemble at the scale's N,
+    M and seed, simulated at each call and held by its caller alone."""
+    return lambda name: simulate_pu(catalog.get_case(name), scale.n_paths,
+                                    scale.steps, scale.seed)
 
 
 def _run_cli(argv, threads=None):
@@ -116,7 +102,7 @@ def _run_cli(argv, threads=None):
 
 # ---------------------------------------------------------------------------
 
-def criterion_1_residual_oracle(scale: SuiteScale, cache: _EnsembleCache) -> dict:
+def criterion_1_residual_oracle(scale: SuiteScale, ensembles) -> dict:
     """Exact cases have probe residual <= 1e-5 and divergence <= 1e-10; the
     frozen control has residual magnitude >= 0.5."""
     details = {}
@@ -130,14 +116,14 @@ def criterion_1_residual_oracle(scale: SuiteScale, cache: _EnsembleCache) -> dic
             "passed": all(d["ok"] for d in details.values()), "details": details}
 
 
-def criterion_2_el_dichotomy(scale: SuiteScale, cache: _EnsembleCache) -> dict:
+def criterion_2_el_dichotomy(scale: SuiteScale, ensembles) -> dict:
     """Euler-Lagrange martingale test passes per component for the exact
     solutions, fails with max |z| >= 10 for the frozen control, and the
     Richardson probe on the passing cases is noise-dominated or halving."""
     details = {}
     for name in ("taylor_green", "lamb_oseen"):
         # no ensemble or EL process outlives el_reports into the probe
-        comp_reports = el_reports(cache(name), scale.alpha)
+        comp_reports = el_reports(ensembles(name), scale.alpha)
         passed = all(r.passed for r in comp_reports)
         case = catalog.get_case(name)
         probe = richardson_bias_probe(
@@ -153,8 +139,7 @@ def criterion_2_el_dichotomy(scale: SuiteScale, cache: _EnsembleCache) -> dict:
             "richardson": probe,
             "ok": passed and probe_ok,
         }
-    reports = el_reports(simulate_pu(catalog.get_case("frozen_taylor_green"),
-                                     scale.n_paths, scale.steps, scale.seed), scale.alpha)
+    reports = el_reports(ensembles("frozen_taylor_green"), scale.alpha)
     max_z = max(r.max_abs_z for r in reports)
     details["frozen_taylor_green"] = {
         "max_abs_z": max_z,
@@ -165,7 +150,7 @@ def criterion_2_el_dichotomy(scale: SuiteScale, cache: _EnsembleCache) -> dict:
             "passed": all(d["ok"] for d in details.values()), "details": details}
 
 
-def criterion_3_least_action(scale: SuiteScale, cache: _EnsembleCache) -> dict:
+def criterion_3_least_action(scale: SuiteScale, ensembles) -> dict:
     """Criticality dichotomy plus analytic-vs-FD derivative agreement.
 
     Each case's paths are simulated piece by piece and go straight into both
@@ -199,7 +184,7 @@ def criterion_3_least_action(scale: SuiteScale, cache: _EnsembleCache) -> dict:
             "passed": all(d["ok"] for d in details.values()), "details": details}
 
 
-def criterion_4_action_entropy(scale: SuiteScale, cache: _EnsembleCache) -> dict:
+def criterion_4_action_entropy(scale: SuiteScale, ensembles) -> dict:
     """Exact identity for the trivial case; budgeted identity and density
     normalization for the exact solutions, each functional walking its paths."""
     details = {}
@@ -228,13 +213,13 @@ def criterion_4_action_entropy(scale: SuiteScale, cache: _EnsembleCache) -> dict
             "passed": all(d["ok"] for d in details.values()), "details": details}
 
 
-def criterion_5_translation_noether(scale: SuiteScale, cache: _EnsembleCache) -> dict:
+def criterion_5_translation_noether(scale: SuiteScale, ensembles) -> dict:
     """The e3 momentum is a martingale for the z-independent solution, and
     the symmetry gate refuses the axis-swapped variant with exit code 3."""
     case = catalog.get_case("taylor_green")
     gen = get_generator("translation_e3")
     gate = symmetry_check(case, gen)
-    ens = cache("taylor_green")
+    ens = ensembles("taylor_green")
     momentum = noether_process_general(ens, gen)
     u, x = case.velocity.eval, ens.positions      # v_3 one time slice at a time
     consistent = all(np.array_equal(momentum.values[:, k], -u(1.0 - t, x[:, k])[:, 2])
@@ -256,11 +241,11 @@ def criterion_5_translation_noether(scale: SuiteScale, cache: _EnsembleCache) ->
             }}
 
 
-def criterion_6_rotation_noether(scale: SuiteScale, cache: _EnsembleCache) -> dict:
+def criterion_6_rotation_noether(scale: SuiteScale, ensembles) -> dict:
     """Compensated kinetic momentum is a martingale for the vortex; the
     ablation without the curl compensator fails loudly."""
     gate = symmetry_check(catalog.get_case("lamb_oseen"), get_generator("rotation_e3"))
-    ens = cache("lamb_oseen")
+    ens = ensembles("lamb_oseen")
     full = martingale_test(noether_rotation_closed_form(ens), alpha=scale.alpha)
     ablated = martingale_test(
         noether_rotation_closed_form(ens, include_compensator=False), alpha=scale.alpha)
@@ -287,11 +272,11 @@ def _bracket_gaps(ens):
     }
 
 
-def criterion_7_bracket_convergence(scale: SuiteScale, cache: _EnsembleCache) -> dict:
+def criterion_7_bracket_convergence(scale: SuiteScale, ensembles) -> dict:
     """Empirical bracket vs analytic compensator: the mean absolute gap obeys
     the 5/M envelope, and the mean-square gap (the estimator's noise energy,
     the part with a definite refinement rate) halves from M/2 to M."""
-    fine = _bracket_gaps(cache("lamb_oseen"))
+    fine = _bracket_gaps(ensembles("lamb_oseen"))
     coarse = _bracket_gaps(simulate_pu(catalog.get_case("lamb_oseen"), scale.n_paths,
                                        scale.steps // 2, scale.seed + 71))
     envelope_ok = fine["mean_abs"] <= 5.0 / scale.steps
@@ -308,7 +293,7 @@ def criterion_7_bracket_convergence(scale: SuiteScale, cache: _EnsembleCache) ->
             }}
 
 
-def criterion_8_statistical_soundness(scale: SuiteScale, cache: _EnsembleCache) -> dict:
+def criterion_8_statistical_soundness(scale: SuiteScale, ensembles) -> dict:
     """Size and power of the martingale test over repeated seeded runs."""
     (n, m), runs = NULL_SCALE, NULL_RUNS
     false_rejections = 0
@@ -329,7 +314,7 @@ def criterion_8_statistical_soundness(scale: SuiteScale, cache: _EnsembleCache) 
                         "null_scale": {"N": n, "M": m}}}
 
 
-def criterion_9_reproducibility(scale: SuiteScale, cache: _EnsembleCache) -> dict:
+def criterion_9_reproducibility(scale: SuiteScale, ensembles) -> dict:
     """Every command's JSON is bit-identical across repeats and across
     1-vs-8 worker configurations (8 is capped at the usable cores)."""
     base = ["--N", "2000", "--M", "50", "--seed", str(scale.seed)]
@@ -370,14 +355,11 @@ def _check_indices(indices) -> None:
         raise ValueError(f"criteria run from 1 to {len(CRITERIA)}")
 
 
-def run_criterion(index: int, scale: SuiteScale,
-                  cache: _EnsembleCache | None = None) -> dict:
+def run_criterion(index: int, scale: SuiteScale) -> dict:
     """Run one criterion (1-based index) at the given scale."""
     _check_indices([index])
     _check_scale(scale, [index])
-    if cache is None:
-        cache = _EnsembleCache(scale, [index])
-    return CRITERIA[index - 1](scale, cache)
+    return CRITERIA[index - 1](scale, suite_ensembles(scale))
 
 
 def run_suite(scale: SuiteScale | None = None, only=None) -> dict:
@@ -386,8 +368,8 @@ def run_suite(scale: SuiteScale | None = None, only=None) -> dict:
     selected = sorted(set(only)) if only else range(1, len(CRITERIA) + 1)
     _check_indices(selected)
     _check_scale(scale, selected)
-    cache = _EnsembleCache(scale, selected)
-    results = [CRITERIA[i - 1](scale, cache) for i in selected]
+    ensembles = suite_ensembles(scale)
+    results = [CRITERIA[i - 1](scale, ensembles) for i in selected]
     return {"scale": scale.to_dict(),
             "criteria": results,
             "passed": all(r["passed"] for r in results)}

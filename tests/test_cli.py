@@ -323,12 +323,26 @@ def test_capacity_exit_4():
                               "--N", str(2**42), "--M", "8", "--seed", "0"])
     assert code == 4 and out == "" and err.startswith("error: ")
     assert len(err.splitlines()) == 1
-    # any failed allocation, not only the engine's capacity check: the probe
+    # any failed allocation, not only the engine's capacity rule: the probe
     # grid's meshgrid asks for 7 PiB and numpy refuses at once
     code, out, err = run_cli(["residual", "--case", "taylor_green",
                               "--grid", "100000"])
     assert code == 4 and out == "" and err.startswith("error: ")
     assert len(err.splitlines()) == 1
+    # shapes numpy cannot index, which it refuses with a ValueError rather
+    # than a MemoryError: the capacity rule refuses them first
+    huge = "100000000000000000000"
+    for argv in (["el-test", "--case", "taylor_green", "--N", huge, "--M", "4"],
+                 ["action", "--case", "taylor_green", "--N", huge, "--M", "4"],
+                 ["least-action", "--case", "taylor_green", "--N", huge, "--M", "4"],
+                 ["el-test", "--case", "taylor_green", "--N", "10000000000000000",
+                  "--M", "200"],
+                 ["action", "--case", "taylor_green", "--N", "4", "--M", huge],
+                 ["residual", "--case", "taylor_green", "--grid", huge],
+                 ["suite", "--only", "3", "--N", huge, "--M", "4"]):
+        code, out, err = run_cli(argv)
+        assert code == 4 and out == "", argv
+        assert err.startswith("error: cannot allocate ") and len(err.splitlines()) == 1
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from lagrangeflow import (CapacityError, TimeGrid, drift_process, get_case,
                           simulate_pu, simulate_wiener, worker_count)
-from lagrangeflow.engine import BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS, walk_pieces
+from lagrangeflow.engine import (BLOCK_PATHS, CHUNK_FLOOR, PIECE_PATHS, check_capacity,
+                                 walk_pieces)
 
 from conftest import M_SMALL, N_SMALL, SEED, threads
 
@@ -189,6 +190,24 @@ def test_capacity_error():
     with pytest.raises(CapacityError) as err:
         simulate_wiener(2**42, 8, 0)
     assert err.value.requested_bytes > 2**40
+
+
+def test_capacity_rule_refuses_what_numpy_cannot_index():
+    # numpy tries (and here fails) to allocate up to 2**63 - 1 bytes and
+    # refuses one float64 more with a ValueError; the rule draws that line
+    most = np.iinfo(np.intp).max // 8
+    with pytest.raises(MemoryError):
+        np.empty(most)
+    with pytest.raises(ValueError):
+        np.empty(most + 1)
+    assert check_capacity(most) == 8 * most
+    with pytest.raises(CapacityError) as err:
+        check_capacity(most + 1)
+    assert err.value.requested_bytes == 8 * (most + 1)
+    with pytest.raises(CapacityError):
+        simulate_wiener(10**20, 4, 0)
+    with pytest.raises(CapacityError):
+        TimeGrid(10**20).times
 
 
 def test_simulation_preconditions():

@@ -1,75 +1,84 @@
-"""The suite's ensemble cache: planned reads, lifetimes and memory."""
+"""The suite's ensemble source: what each criterion reads, how long it
+holds it, and memory."""
 
+import gc
 import json
 import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
 
-from lagrangeflow import suite
+from lagrangeflow import engine, suite
 from lagrangeflow.engine import BLOCK_PATHS
-from lagrangeflow.suite import (SHARED, SuiteScale, _EnsembleCache,
-                                run_criterion, run_suite)
+from lagrangeflow.suite import SuiteScale, run_criterion, run_suite, suite_ensembles
 
 # N above criterion 4's 4000-path zero-flow ensemble, so its runs take the
 # min(N, 4000) branch as at desk scale
 TOY = SuiteScale(n_paths=4096, steps=8, seed=5, alpha=0.01)
-CACHED = range(2, 8)    # criteria 1, 3, 8 and 9 read no cached ensemble
+SIMULATING = range(2, 8)    # criteria 1, 8 and 9 read neither N nor M
+
+# The suite-scale cases each criterion reads through its ensembles source
+READS = {2: ["taylor_green", "lamb_oseen", "frozen_taylor_green"],
+         5: ["taylor_green"], 6: ["lamb_oseen"], 7: ["lamb_oseen"]}
 
 
-def _reads(index):
-    return [name for name, readers in SHARED.items() if index in readers]
-
-
-class _RecordingCache(_EnsembleCache):
-    def __init__(self, scale, plan=()):
-        super().__init__(scale, plan)
-        self.requested = []
-
-    def __call__(self, name):
-        self.requested.append(name)
-        return super().__call__(name)
-
-
-@pytest.mark.parametrize("index", range(1, 8))
+@pytest.mark.parametrize("index", range(1, 10))
 def test_each_criterion_reads_its_planned_keys(index):
-    cache = _RecordingCache(TOY)
-    run_criterion(index, TOY, cache)
-    assert Counter(cache.requested) == Counter(_reads(index))
-    if index == 3:      # criterion 3 simulates its own paths piece by piece
-        assert cache.requested == []
+    requested = []
+    ensembles = suite_ensembles(TOY)
+
+    def recording(name):
+        requested.append(name)
+        return ensembles(name)
+
+    suite.CRITERIA[index - 1](TOY, recording)
+    assert requested == READS.get(index, [])
 
 
-def test_cache_forgets_each_key_after_its_last_planned_read():
-    cache = _EnsembleCache(TOY, [2, 5])     # each reads Taylor-Green once
-    first = cache("taylor_green")
-    assert list(cache) == ["taylor_green"]
-    assert first.positions.shape == (TOY.n_paths, TOY.steps + 1, 3)
-    assert cache("taylor_green") is first
-    assert "taylor_green" not in cache
-    unplanned = cache("taylor_green")
-    assert unplanned is not first and "taylor_green" not in cache
+def test_no_ensemble_outlives_its_criterion(monkeypatch):
+    # every ensemble a criterion simulates, its source's, the probe's, the
+    # null runs' and criterion 9's commands', is gone when the next starts
+    alive = []
+    simulate = engine._simulate
+
+    def tracked(*args):
+        ensemble = simulate(*args)
+        alive.append(weakref.ref(ensemble))
+        return ensemble
+
+    def starts(criterion):
+        def run(scale, ensembles):
+            assert [ref for ref in alive if ref() is not None] == []
+            return criterion(scale, ensembles)
+        return run
+
+    monkeypatch.setattr(engine, "_simulate", tracked)
+    monkeypatch.setattr(suite, "CRITERIA", tuple(map(starts, suite.CRITERIA)))
+    gc.disable()        # freed by reference counts alone, not by a collection
+    try:
+        run_suite(TOY)
+        assert [ref for ref in alive if ref() is not None] == []
+    finally:
+        gc.enable()
+    assert len(alive) > 100     # criterion 8 alone simulates a hundred
 
 
-def test_suite_simulates_each_planned_key_once(monkeypatch):
-    # the shared ensembles once per run, and no other ensemble twice
+def test_suite_report_equals_the_separate_criteria(monkeypatch):
+    # run_suite simulates what the separate runs simulate, byte for byte
     made = Counter()
-    simulate_pu, simulate_wiener = suite.simulate_pu, suite.simulate_wiener
+    simulate = engine._simulate
 
-    def count_pu(case, n, m, seed):
-        made["pu", case.name, n, m, seed] += 1
-        return simulate_pu(case, n, m, seed)
+    def counting(case, n, m, seed):
+        made[getattr(case, "name", None), n, m, seed] += 1
+        return simulate(case, n, m, seed)
 
-    def count_wiener(n, m, seed):
-        made["wiener", n, m, seed] += 1
-        return simulate_wiener(n, m, seed)
-
-    monkeypatch.setattr(suite, "simulate_pu", count_pu)
-    monkeypatch.setattr(suite, "simulate_wiener", count_wiener)
-    report = run_suite(TOY, only=list(CACHED))
-    shared = {("pu", name, TOY.n_paths, TOY.steps, TOY.seed) for name in SHARED}
-    assert shared <= set(made) and set(made.values()) == {1}
-    separate = [run_criterion(i, TOY) for i in CACHED]
+    monkeypatch.setattr(engine, "_simulate", counting)
+    report = run_suite(TOY, only=list(SIMULATING))
+    in_suite = Counter(made)
+    made.clear()
+    separate = [run_criterion(i, TOY) for i in SIMULATING]
+    assert in_suite == made
     assert (json.dumps(report["criteria"], sort_keys=True)
             == json.dumps(separate, sort_keys=True))
 
@@ -96,7 +105,7 @@ def test_criterion_numbers_outside_1_to_9_are_refused(index, monkeypatch):
     # wrapping around to a criterion counted from the end
     ran = []
     monkeypatch.setattr(suite, "CRITERIA", tuple(
-        lambda scale, cache, i=i: ran.append(i) for i in range(1, 10)))
+        lambda scale, ensembles, i=i: ran.append(i) for i in range(1, 10)))
     with pytest.raises(ValueError, match="from 1 to 9"):
         run_criterion(index, TOY)
     for only in ([index], [1, index], [index, 9]):
@@ -114,7 +123,7 @@ def test_criterion_numbers_outside_1_to_9_are_refused(index, monkeypatch):
 def test_scales_a_criterion_would_fail_on_are_refused_first(scale, monkeypatch):
     ran = []
     monkeypatch.setattr(suite, "CRITERIA", tuple(
-        lambda scale, cache, i=i: ran.append(i) for i in range(1, 10)))
+        lambda scale, ensembles, i=i: ran.append(i) for i in range(1, 10)))
     with pytest.raises(ValueError, match="seed|alpha"):
         run_criterion(1, scale)
     with pytest.raises(ValueError, match="seed|alpha"):
@@ -133,7 +142,7 @@ def test_scales_below_what_a_selected_criterion_needs_are_refused_first(
         n, m, only, monkeypatch):
     ran = []
     monkeypatch.setattr(suite, "CRITERIA", tuple(
-        lambda scale, cache, i=i: ran.append(i) or {"passed": True}
+        lambda scale, ensembles, i=i: ran.append(i) or {"passed": True}
         for i in range(1, 10)))
     scale = SuiteScale(n_paths=n, steps=m)
     with pytest.raises(ValueError, match="N must be >= 2|M must be >= "):
